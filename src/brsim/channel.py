@@ -45,6 +45,11 @@ class ChannelParams:
     target_sir_db: float = 10.0
     tx_range_m: float = 30.0
 
+    def __post_init__(self) -> None:
+        for name in ("ref_distance_m", "tx_range_m"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass
 class Topology:
@@ -109,25 +114,24 @@ def wall_attenuation_db(tx: Position, rx: Position, walls: list[WallSegment]) ->
     return total
 
 
-def path_loss(distance_m: float, wall_crossings: int, params: ChannelParams, wall_db: float = 0.0) -> float:
+def path_loss(distance_m: float, params: ChannelParams) -> float:
     """Log-distance loss in dB; distances inside ref_distance clamp to ref_loss."""
     d = max(distance_m, params.ref_distance_m)
-    loss = params.ref_loss_db + 10.0 * params.path_loss_exponent * math.log10(
+    return params.ref_loss_db + 10.0 * params.path_loss_exponent * math.log10(
         d / params.ref_distance_m
     )
-    return loss + wall_crossings * wall_db
 
 
 def rssi(tx: Position, rx: Position, topology: Topology, params: ChannelParams) -> int:
     """Received power in whole dBm for a transmission from tx heard at rx."""
-    loss = path_loss(tx.distance_to(rx), 0, params)
+    loss = path_loss(tx.distance_to(rx), params)
     loss += wall_attenuation_db(tx, rx, topology.walls)
     return _round_dbm(params.tx_power_dbm - loss)
 
 
 def sensitivity_dbm(params: ChannelParams) -> int:
     """Reception threshold for data frames: the RSSI at exactly tx_range, no walls."""
-    return _round_dbm(params.tx_power_dbm - path_loss(params.tx_range_m, 0, params))
+    return _round_dbm(params.tx_power_dbm - path_loss(params.tx_range_m, params))
 
 
 def can_hear(tx: int, rx: int, topology: Topology, params: ChannelParams) -> bool:

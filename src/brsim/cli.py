@@ -28,7 +28,7 @@ from .scenario import (
     build_scenario,
     load_raw,
 )
-from .simulation import run_many, run_scenario
+from .simulation import JobError, run_many, run_scenario
 
 
 def _parse_node_range(text: str) -> range:
@@ -145,14 +145,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 labels.append((scenario.name, f"{tag}{value:g}", protocol, seed))
 
     os.makedirs(args.out, exist_ok=True)
-    done = 0
     try:
-        runs = []
-        for run in run_many(jobs, max_workers=args.jobs):
-            runs.append(run)
-            done += 1
-    except Exception as exc:
-        name, tag, protocol, seed = labels[done]
+        runs = run_many(jobs, max_workers=args.jobs)
+    except JobError as exc:
+        name, tag, protocol, seed = labels[exc.index]
         print(
             f"error: scenario={name} {tag} protocol={protocol} seed={seed}: {exc}",
             file=sys.stderr,

@@ -179,6 +179,16 @@ class Engine:
         self.now = horizon
         return count
 
+    def stop(self) -> None:
+        """Drop every pending event, so that run_until returns early.
+
+        Meant to be called from a handler: the loop finds the heap empty
+        once the events that handler goes on to schedule have run, and
+        run_until still ends with now == horizon. The loop itself pays
+        nothing per event for this.
+        """
+        self._heap.clear()
+
     def stream(self, node_id: int) -> RngStream:
         st = self._streams.get(node_id)
         if st is None:

@@ -140,12 +140,18 @@ class RadioNode:
     def enqueue(self, meta: PacketMeta) -> None:
         self._seen.add(meta.uid)
         self.queue.append(_Pending(meta))
+        self.sim.packet_queued()
         self._on_enqueued()
+
+    def _dequeue(self) -> _Pending:
+        pending = self.queue.popleft()
+        self.sim.packet_dequeued()
+        return pending
 
     def _on_ack(self, frame: Ack) -> None:
         if self.phase != AWAIT_ACK or frame.response_node_id != self.current_target:
             return
-        pending = self.queue.popleft()
+        pending = self._dequeue()
         self.sim.record_hop(
             pending.meta.uid,
             self.id,
@@ -203,7 +209,7 @@ class RadioNode:
                 attempts=pending.attempts,
             )
             self.sim.drop(pending.meta.uid, "max_attempts")
-            self.queue.popleft()
+            self._dequeue()
             self.phase = IDLE
             self.current_target = None
             self._on_hop_done()

@@ -58,6 +58,11 @@ class Simulation:
         self._sources: dict[int, int] = {}
         self._delivered: dict[int, tuple[int, int]] = {}  # uid -> (hops, time)
         self._dropped: dict[int, tuple[str, int]] = {}  # uid -> (reason, time)
+        # quiescence: traffic arrivals still due within the horizon, packets
+        # held in node queues, and whether run() may stop once both are zero
+        self._traffic_due = 0
+        self._held = 0
+        self._stop_when_idle = False
         self._setup()
 
     def _setup(self) -> None:
@@ -76,6 +81,8 @@ class Simulation:
             for k in range(t.packets_per_source):
                 at = t.start_ms + k * t.inter_arrival_ms
                 self.engine.schedule(at, TimerFire(src, "traffic", k, 0))
+                if at <= self.scenario.horizon_ms:
+                    self._traffic_due += 1
 
     # ---- radio ------------------------------------------------------------
 
@@ -155,6 +162,7 @@ class Simulation:
             raise TypeError(f"unhandled event: {ev!r}")
 
     def _generate_packet(self, src: int) -> None:
+        self._traffic_due -= 1
         uid = self._uids
         self._uids += 1
         self._sources[uid] = src
@@ -164,6 +172,13 @@ class Simulation:
         )
 
     # ---- bookkeeping called by nodes ------------------------------------------
+
+    def packet_queued(self) -> None:
+        self._held += 1
+
+    def packet_dequeued(self) -> None:
+        self._held -= 1
+        self._stop_if_idle()
 
     def deliver(self, uid: int, hops: int) -> None:
         if uid not in self._delivered:
@@ -191,9 +206,23 @@ class Simulation:
     # ---- lifecycle ---------------------------------------------------------
 
     def run(self) -> RunMetrics:
+        """Run to the horizon, or stop early at quiescence when untraced.
+
+        Once every traffic arrival due within the horizon has fired and no
+        node holds a packet, no later event can change generated, outcomes,
+        hops or routing_log: only idle epochs and beacons remain. An
+        untraced run stops there; a traced run keeps every event, because
+        its trace records them.
+        """
+        self._stop_when_idle = self.engine.trace is None
+        self._stop_if_idle()
         self.engine.run_until(self.scenario.horizon_ms, self._handle)
         self._finalize()
         return self.metrics
+
+    def _stop_if_idle(self) -> None:
+        if self._stop_when_idle and not self._held and not self._traffic_due:
+            self.engine.stop()
 
     def _finalize(self) -> None:
         """Assign one outcome per packet; delivery beats any recorded drop."""
@@ -217,9 +246,23 @@ def run_scenario(scenario, protocol: str, seed: int, trace: bool = False) -> Run
     return Simulation(scenario, protocol, seed, trace=trace).run()
 
 
-def _run_job(job: tuple) -> RunMetrics:
-    scenario, protocol, seed, trace = job
-    return run_scenario(scenario, protocol, seed, trace=trace)
+class JobError(Exception):
+    """Job number `index` of a run_many call raised; str() is its message."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(index, message)
+        self.index = index
+
+    def __str__(self) -> str:
+        return self.args[1]
+
+
+def _run_job(indexed_job: tuple[int, tuple]) -> RunMetrics:
+    index, (scenario, protocol, seed, trace) = indexed_job
+    try:
+        return run_scenario(scenario, protocol, seed, trace=trace)
+    except Exception as exc:
+        raise JobError(index, str(exc)) from exc
 
 
 def run_many(jobs: list[tuple], max_workers: int = 1) -> list[RunMetrics]:
@@ -227,11 +270,13 @@ def run_many(jobs: list[tuple], max_workers: int = 1) -> list[RunMetrics]:
 
     Results come back in job order and are identical regardless of worker
     count: every run is seeded independently and shares no mutable state.
+    A failed run raises JobError naming the job's position in `jobs`.
     """
+    indexed = list(enumerate(jobs))
     if max_workers <= 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
+        return [_run_job(job) for job in indexed]
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(jobs) // (max_workers * 4))
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_run_job, jobs, chunksize=chunk))
+        return list(pool.map(_run_job, indexed, chunksize=chunk))

@@ -34,16 +34,16 @@ def topo(positions, destination=0, walls=()):
 
 def test_path_loss_reference_points():
     # 40 dB at 1 m, exponent 3: +30 dB per decade of distance
-    assert path_loss(1.0, 0, DEFAULTS) == pytest.approx(40.0)
-    assert path_loss(10.0, 0, DEFAULTS) == pytest.approx(70.0)
-    assert path_loss(100.0, 0, DEFAULTS) == pytest.approx(100.0)
-    assert path_loss(6.0, 0, DEFAULTS) == pytest.approx(63.34453751150931)
-    assert path_loss(30.0, 0, DEFAULTS) == pytest.approx(84.31363764158988)
+    assert path_loss(1.0, DEFAULTS) == pytest.approx(40.0)
+    assert path_loss(10.0, DEFAULTS) == pytest.approx(70.0)
+    assert path_loss(100.0, DEFAULTS) == pytest.approx(100.0)
+    assert path_loss(6.0, DEFAULTS) == pytest.approx(63.34453751150931)
+    assert path_loss(30.0, DEFAULTS) == pytest.approx(84.31363764158988)
 
 
 def test_path_loss_clamps_below_reference_distance():
-    assert path_loss(0.5, 0, DEFAULTS) == pytest.approx(40.0)
-    assert path_loss(0.0, 0, DEFAULTS) == pytest.approx(40.0)
+    assert path_loss(0.5, DEFAULTS) == pytest.approx(40.0)
+    assert path_loss(0.0, DEFAULTS) == pytest.approx(40.0)
 
 
 def test_rssi_whole_dbm_values():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import brsim.simulation
 from brsim.cli import _parse_node_range, _parse_p_range, main
 from brsim.metrics import CSV_HEADER, read_csv
 
@@ -92,6 +93,15 @@ def test_run_bad_override_exits_2(tmp_path, capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+def test_run_bad_channel_value_exits_2_naming_the_field(tmp_path, capsys):
+    code = run_cli(
+        "run", "--scenario", "tandem12", "--out", str(tmp_path),
+        "--set", "channel.ref_distance_m=0",
+    )
+    assert code == 2
+    assert "ref_distance_m must be positive" in capsys.readouterr().err
+
+
 def test_run_scenario_file_path(tmp_path):
     doc = tmp_path / "tiny.yaml"
     doc.write_text(
@@ -150,6 +160,25 @@ def test_sweep_trace_files_named_by_point(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "tandem12_br_n5_seed0.trace").exists()
+
+
+def test_sweep_error_names_the_run_that_failed(tmp_path, capsys, monkeypatch):
+    real = brsim.simulation.run_scenario
+
+    def failing_at_seed_3(scenario, protocol, seed, trace=False):
+        if seed == 3:
+            raise RuntimeError("injected failure")
+        return real(scenario, protocol, seed, trace=trace)
+
+    monkeypatch.setattr(brsim.simulation, "run_scenario", failing_at_seed_3)
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--nodes", "5..5", "--seeds", "5",
+        "--jobs", "1", "--protocol", "br", "--out", str(tmp_path), *FAST,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "n5 protocol=br seed=3: injected failure" in err
+    assert "seed=0" not in err
 
 
 def test_summary_csv_header_matches_contract(tmp_path):

@@ -180,6 +180,23 @@ def test_run_until_stops_at_horizon():
     assert eng.processed == 5
 
 
+def test_stop_drops_pending_events_and_still_ends_at_horizon():
+    eng = Engine(0)
+    seen = []
+
+    def handler(ev):
+        seen.append(ev.ref)
+        if ev.ref == 2:
+            eng.stop()
+
+    for t in (1, 2, 3, 4):
+        eng.schedule(t, TimerFire(0, "t", t, 0))
+    assert eng.run_until(100, handler) == 2
+    assert seen == [1, 2]
+    assert eng.now == 100
+    assert eng.pending() == 0
+
+
 def test_handler_may_schedule_followups():
     eng = Engine(0)
     seen = []

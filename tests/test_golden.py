@@ -1,0 +1,117 @@
+"""Golden behaviour fixture: fixed runs must keep producing the same results.
+
+`golden_behaviour.json` holds, for a fixed matrix of (scenario, protocol,
+seed) runs, a sha256 over each run's `generated`, `outcomes`, `hops` and
+`routing_log`, plus the sha256 of the full event trace of two traced runs.
+A refactor or a speed-up must leave every hash unchanged.
+
+Rewrite the file (`PYTHONPATH=src python tests/test_golden.py`) only for a
+change that alters simulated behaviour on purpose, and say so in the change.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from test_acceptance import SWEEP_OVERRIDES, _bounce_scenario, _spiral_scenario
+
+from brsim.scenario import load_scenario
+from brsim.simulation import Simulation
+
+FIXTURE = pathlib.Path(__file__).with_name("golden_behaviour.json")
+
+BOTH = ("br", "aodv")
+# group -> (scenario builder, protocols, seeds)
+GROUPS = {
+    "tandem12": (lambda: load_scenario("tandem12"), BOTH, range(5)),
+    "motion_testbed": (lambda: load_scenario("motion_testbed"), BOTH, range(5)),
+    **{
+        f"tandem_n{n}": (
+            lambda n=n: load_scenario(
+                "tandem12", overrides=[f"topology.count={n}", *SWEEP_OVERRIDES]
+            ),
+            BOTH,
+            range(3),
+        )
+        for n in (5, 10, 15)
+    },
+    "spiral": (_spiral_scenario, ("br",), range(10)),
+    "bounce": (_bounce_scenario, ("br",), range(10)),
+}
+
+# traced runs: key -> (scenario builder, protocol, seed)
+TRACED = {
+    "tandem_n6/br/7": (
+        lambda: load_scenario(
+            "tandem12",
+            overrides=[
+                "topology.count=6",
+                "horizon_s=120",
+                "traffic.packets_per_source=2",
+                "traffic.inter_arrival_ms=30000",
+            ],
+        ),
+        "br",
+        7,
+    ),
+    "motion_testbed/aodv/1": (lambda: load_scenario("motion_testbed"), "aodv", 1),
+}
+
+
+def behaviour_hash(metrics) -> str:
+    h = hashlib.sha256()
+    h.update(f"generated={metrics.generated}\n".encode())
+    for uid in sorted(metrics.outcomes):
+        h.update(f"{metrics.outcomes[uid]!r}\n".encode())
+    for hop in metrics.hops:
+        h.update(f"{hop!r}\n".encode())
+    for rec in metrics.routing_log:
+        h.update(f"{rec!r}\n".encode())
+    return h.hexdigest()
+
+
+def trace_hash(metrics) -> str:
+    """sha256 of the trace file `brsim run --trace` writes for this run."""
+    return hashlib.sha256("".join(f"{line}\n" for line in metrics.trace).encode()).hexdigest()
+
+
+def group_hashes(group: str) -> dict[str, str]:
+    build, protocols, seeds = GROUPS[group]
+    scenario = build()
+    return {
+        f"{group}/{protocol}/{seed}": behaviour_hash(Simulation(scenario, protocol, seed).run())
+        for protocol in protocols
+        for seed in seeds
+    }
+
+
+def traced_hashes() -> dict[str, str]:
+    out = {}
+    for key, (build, protocol, seed) in TRACED.items():
+        metrics = Simulation(build(), protocol, seed, trace=True).run()
+        out[key] = trace_hash(metrics)
+        out[key + "/behaviour"] = behaviour_hash(metrics)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("group", list(GROUPS))
+def test_behaviour_matches_golden(golden, group):
+    assert group_hashes(group) == golden[group]
+
+
+def test_traces_match_golden(golden):
+    assert traced_hashes() == golden["traced"]
+
+
+if __name__ == "__main__":
+    table = {group: group_hashes(group) for group in GROUPS}
+    table["traced"] = traced_hashes()
+    FIXTURE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {sum(map(len, table.values()))} hashes to {FIXTURE}")

@@ -187,6 +187,9 @@ def test_sources_all_excludes_destination():
         (lambda r: r.update(channel={"bogus": 3}), "channel.bogus"),
         (lambda r: r.update(channel={"tx_range_m": "far"}), "expected a number"),
         (lambda r: r.update(channel={"tx_range_m": math.inf}), "finite"),
+        (lambda r: r.update(channel={"tx_range_m": 0}), "channel: tx_range_m must be positive"),
+        (lambda r: r.update(channel={"ref_distance_m": 0}), "channel: ref_distance_m must be positive"),
+        (lambda r: r.update(channel={"ref_distance_m": -1}), "channel: ref_distance_m must be positive"),
         (lambda r: r.update(br={"relay_probability": 1.5}), "relay_probability"),
         (lambda r: r.update(br={"slot_ms": True}), "expected an integer"),
         (lambda r: r.update(br={"slot_ms": 2.5}), "expected an integer"),

@@ -4,7 +4,7 @@ import pytest
 
 from brsim.channel import ChannelParams
 from brsim.frame import DstBcast, Routing
-from brsim.simulation import Simulation, run_many, run_scenario
+from brsim.simulation import JobError, Simulation, run_many, run_scenario
 
 from conftest import make_scenario, make_sim
 
@@ -252,3 +252,123 @@ def test_run_many_preserves_job_order_and_results():
     for a, b in zip(serial, parallel):
         assert a.trace == b.trace
         assert a.outcomes == b.outcomes
+
+
+def test_run_many_names_the_failed_job():
+    scenario = chain_scenario()
+    jobs = [(scenario, "br", 0, False), (scenario, "br", 1, False), (scenario, "olsr", 2, False)]
+    for workers in (1, 2):
+        with pytest.raises(JobError, match="unknown protocol") as info:
+            run_many(jobs, max_workers=workers)
+        assert info.value.index == 2
+
+
+# ---- quiescence stop ------------------------------------------------------------
+
+
+def _untraced_and_traced(scenario, protocol, seed=0, prepare=lambda sim: None):
+    runs = []
+    for trace in (False, True):
+        sim = Simulation(scenario, protocol, seed, trace=trace)
+        prepare(sim)
+        sim.run()
+        assert sim.engine.now == scenario.horizon_ms
+        runs.append(sim)
+    return runs
+
+
+def _same_behaviour(a, b):
+    for field in ("generated", "outcomes", "hops", "routing_log"):
+        assert getattr(a.metrics, field) == getattr(b.metrics, field), field
+
+
+@pytest.mark.parametrize("protocol", ["br", "aodv"])
+def test_untraced_run_still_routes_packets_generated_after_queues_empty(protocol):
+    scenario = make_scenario(
+        {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (10.0, 0.0)},
+        2,
+        sources=(0,),
+        channel=ChannelParams(tx_range_m=6.0),
+        packets_per_source=3,
+        inter_arrival_ms=200_000,
+        horizon_ms=700_000,
+    )
+    quick, full = _untraced_and_traced(scenario, protocol)
+    _same_behaviour(quick, full)
+    outcomes = quick.metrics.outcomes
+    assert quick.metrics.generated == 3
+    assert all(o.delivered for o in outcomes.values())
+    # every packet resolved long before the next one was generated
+    assert [o.time_ms // 200_000 for o in outcomes.values()] == [0, 1, 2]
+    assert quick.engine.processed < full.engine.processed
+
+
+@pytest.mark.parametrize("protocol", ["br", "aodv"])
+def test_packets_censored_in_a_stopped_run_keep_the_horizon_time(protocol):
+    scenario = chain_scenario()
+    # the relay already holds uid 0 in its history, so it acks the first
+    # packet and discards it as a duplicate: the packet leaves every queue
+    # without an outcome, and the untraced run stops there
+    quick, full = _untraced_and_traced(
+        scenario, protocol, prepare=lambda sim: sim.nodes[1]._seen.add(0)
+    )
+    _same_behaviour(quick, full)
+    censored = quick.metrics.outcomes[0]
+    assert (censored.reason, censored.time_ms) == ("horizon", scenario.horizon_ms)
+    assert quick.engine.processed < full.engine.processed
+
+
+def test_packets_still_held_at_the_horizon_keep_the_horizon_time():
+    scenario = make_scenario(
+        {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (10.0, 0.0)},
+        2,
+        sources=(0,),
+        channel=ChannelParams(tx_range_m=6.0),
+        horizon_ms=3_000,  # shorter than one handshake
+    )
+    for protocol in ("br", "aodv"):
+        quick, full = _untraced_and_traced(scenario, protocol)
+        _same_behaviour(quick, full)
+        [outcome] = quick.metrics.outcomes.values()
+        assert (outcome.reason, outcome.time_ms) == ("horizon", 3_000)
+
+
+def test_untraced_spiral_stops_early_with_identical_results():
+    from test_acceptance import _spiral_scenario
+
+    quick, full = _untraced_and_traced(_spiral_scenario(), "br")
+    _same_behaviour(quick, full)
+    assert quick.metrics.outcomes[0].reason == "max_attempts"
+    assert quick.engine.processed * 4 < full.engine.processed
+
+
+def test_hand_driven_run_until_is_never_stopped_early():
+    scenario = chain_scenario()
+    full = Simulation(scenario, "br", 0, trace=True)
+    full.run()
+    sim = Simulation(scenario, "br", 0)
+    sim.engine.run_until(scenario.horizon_ms, sim._handle)
+    assert sim.engine.processed == full.engine.processed
+    assert sim.engine.pending() > 0  # epochs and beacons past the horizon
+
+
+def test_traffic_due_after_the_horizon_does_not_hold_the_run_open():
+    second_too_late = make_scenario(
+        {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (10.0, 0.0)},
+        2,
+        sources=(0,),
+        channel=ChannelParams(tx_range_m=6.0),
+        packets_per_source=2,
+        inter_arrival_ms=400_000,
+        horizon_ms=300_000,
+    )
+    quick, full = _untraced_and_traced(second_too_late, "br")
+    _same_behaviour(quick, full)
+    assert quick.metrics.generated == 1
+    assert quick.engine.processed < full.engine.processed
+
+    silent = make_scenario(CROSS, 2, **QUIET_TRAFFIC)
+    quick, full = _untraced_and_traced(silent, "br")
+    assert quick.metrics.generated == 0
+    assert quick.engine.processed == 0
+    assert full.engine.processed > 0
