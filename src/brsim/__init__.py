@@ -17,9 +17,6 @@ from .channel import (
     Position,
     Topology,
     WallSegment,
-    beacon_success,
-    can_hear,
-    delivery_success,
     path_loss,
     rssi,
     sensitivity_dbm,
@@ -100,11 +97,8 @@ __all__ = [
     "ValidationError",
     "WallSegment",
     "apply_overrides",
-    "beacon_success",
     "build_scenario",
-    "can_hear",
     "decode_frame",
-    "delivery_success",
     "derive_stream_seed",
     "encode_frame",
     "grid_topology",

@@ -134,121 +134,68 @@ def sensitivity_dbm(params: ChannelParams) -> int:
     return _round_dbm(params.tx_power_dbm - path_loss(params.tx_range_m, params))
 
 
-def can_hear(tx: int, rx: int, topology: Topology, params: ChannelParams) -> bool:
-    """True when rx decodes data frames from tx on an otherwise quiet channel."""
-    if tx == rx:
-        return False
-    r = rssi(topology.position(tx), topology.position(rx), topology, params)
-    return r >= sensitivity_dbm(params)
-
-
 def _linear_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def _sir_ok(tx: int, rx: int, concurrent: set[int] | frozenset[int], topology: Topology, params: ChannelParams) -> bool:
-    rx_pos = topology.position(rx)
-    signal = _linear_mw(rssi(topology.position(tx), rx_pos, topology, params))
-    interference = _linear_mw(params.noise_floor_dbm)
-    for other in sorted(concurrent):
-        interference += _linear_mw(rssi(topology.position(other), rx_pos, topology, params))
-    return signal / interference >= _linear_mw(params.target_sir_db)
-
-
-def delivery_success(
-    tx: int,
-    rx: int,
-    concurrent: set[int] | frozenset[int],
-    topology: Topology,
-    params: ChannelParams,
-) -> bool:
-    """Data-frame reception verdict: in hearing range and SIR at target or better.
-
-    `concurrent` holds every other node transmitting in the same tick; tx must
-    not be in it. Boundary ties (RSSI equal to sensitivity, SIR equal to
-    target) count as success.
-    """
-    if tx in concurrent or rx == tx:
-        raise ValueError("tx must differ from rx and not appear in concurrent")
-    if not can_hear(tx, rx, topology, params):
-        return False
-    return _sir_ok(tx, rx, concurrent, topology, params)
-
-
-def beacon_success(
-    tx: int,
-    rx: int,
-    concurrent: set[int] | frozenset[int],
-    topology: Topology,
-    params: ChannelParams,
-) -> bool:
-    """Beacon reception verdict: SIR alone, no hearing-range gate."""
-    if tx in concurrent or rx == tx:
-        raise ValueError("tx must differ from rx and not appear in concurrent")
-    return _sir_ok(tx, rx, concurrent, topology, params)
-
-
 class LinkCache:
-    """Per-pair link table for one static topology.
+    """The link table of one static topology, built once per run.
 
-    Reproduces rssi / can_hear / delivery_success / beacon_success exactly,
-    including rounding and boundary-tie behaviour, but computes each node pair
-    at most once. The simulator adjudicates every frame arrival through this,
-    so the geometry work must not be repeated per arrival.
+    Holds every ordered pair's RSSI and its linear power, and for each
+    transmitter the receivers that decode its data frames (`hearers`) and its
+    beacons on a quiet channel (`beacon_hearers`), both in ascending rx id.
+    The simulator looks up every link and adjudicates every frame arrival
+    here, so no geometry is computed during a run. Boundary ties (RSSI equal
+    to sensitivity, SIR equal to target) count as success.
     """
 
     def __init__(self, topology: Topology, params: ChannelParams) -> None:
-        self.topology = topology
-        self.params = params
         self.sensitivity = sensitivity_dbm(params)
-        self._rssi: dict[tuple[int, int], int] = {}
-        self._mw: dict[tuple[int, int], float] = {}
         self._noise_mw = _linear_mw(params.noise_floor_dbm)
         self._sir_lin = _linear_mw(params.target_sir_db)
+        pos = topology.nodes
+        ids = sorted(pos)
+        self._rssi: dict[int, dict[int, int]] = {}  # [tx][rx], whole dBm
+        self._mw: dict[int, dict[int, float]] = {}  # [tx][rx], linear
+        self.hearers: dict[int, tuple[int, ...]] = {}
+        self.beacon_hearers: dict[int, tuple[int, ...]] = {}
+        for tx in ids:
+            row = self._rssi[tx] = {rx: rssi(pos[tx], pos[rx], topology, params) for rx in ids}
+            mw = self._mw[tx] = {rx: _linear_mw(value) for rx, value in row.items()}
+            others = [rx for rx in ids if rx != tx]
+            self.hearers[tx] = tuple(rx for rx in others if row[rx] >= self.sensitivity)
+            self.beacon_hearers[tx] = tuple(
+                rx for rx in others if mw[rx] / self._noise_mw >= self._sir_lin
+            )
 
     def rssi_of(self, tx: int, rx: int) -> int:
-        key = (tx, rx)
-        value = self._rssi.get(key)
-        if value is None:
-            value = rssi(
-                self.topology.position(tx),
-                self.topology.position(rx),
-                self.topology,
-                self.params,
-            )
-            self._rssi[key] = value
-            self._mw[key] = _linear_mw(value)
-        return value
-
-    def _power_mw(self, tx: int, rx: int) -> float:
-        key = (tx, rx)
-        if key not in self._mw:
-            self.rssi_of(tx, rx)
-        return self._mw[key]
+        return self._rssi[tx][rx]
 
     def can_hear(self, tx: int, rx: int) -> bool:
-        if tx == rx:
-            return False
-        return self.rssi_of(tx, rx) >= self.sensitivity
+        """True when rx decodes data frames from tx on an otherwise quiet channel."""
+        return tx != rx and self._rssi[tx][rx] >= self.sensitivity
 
     def beacon_audible(self, tx: int, rx: int) -> bool:
         """Beacon reach on a quiet channel: SIR against the noise floor alone."""
-        if tx == rx:
-            return False
-        return self._power_mw(tx, rx) / self._noise_mw >= self._sir_lin
+        return tx != rx and self._mw[tx][rx] / self._noise_mw >= self._sir_lin
 
     def _sir_ok(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
         interference = self._noise_mw
         for other in sorted(concurrent):
-            interference += self._power_mw(other, rx)
-        return self._power_mw(tx, rx) / interference >= self._sir_lin
+            interference += self._mw[other][rx]
+        return self._mw[tx][rx] / interference >= self._sir_lin
 
     def delivery(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
+        """Data-frame verdict: in hearing range and SIR at target or better.
+
+        `concurrent` holds every other node transmitting in the same tick.
+        """
         if not self.can_hear(tx, rx):
             return False
         return self._sir_ok(tx, rx, concurrent)
 
     def beacon(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
+        """Beacon verdict: SIR alone, no hearing-range gate."""
         if tx == rx:
             return False
         return self._sir_ok(tx, rx, concurrent)

@@ -119,6 +119,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return 2
     raw, default_name = load_raw(args.scenario)
     raw = apply_overrides(raw, args.set)
     if args.nodes is not None:

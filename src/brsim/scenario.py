@@ -291,7 +291,11 @@ def _build_traffic(section, topology: Topology, where: str = "traffic") -> Traff
         )
     else:
         raise ValidationError(f"{where}.sources: expected a list or 'all'")
+    seen = set()
     for s in sources:
+        if s in seen:
+            raise ValidationError(f"{where}.sources: duplicate node {s}")
+        seen.add(s)
         if s not in topology.nodes:
             raise ValidationError(f"{where}.sources: unknown node {s}")
         if s == topology.destination:

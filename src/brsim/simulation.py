@@ -8,7 +8,8 @@ else is decided by the channel model against the concurrent-transmitter set.
 
 Arrivals are only scheduled to stations that could hear the frame on a quiet
 channel (interference can only remove receptions, never add them), which
-keeps event counts proportional to real traffic.
+keeps event counts proportional to real traffic. Those stations come from the
+link table's precomputed hearer lists, in ascending id.
 """
 
 from __future__ import annotations
@@ -99,7 +100,13 @@ class Simulation:
         only_to: int | None = None,
         uid: int | None = None,
     ) -> None:
-        self._tx.setdefault(at, set()).add(tx)
+        reg = self._tx.get(at)
+        if reg is None:
+            # CCA reads tick now and adjudication reads now - 1: drop older ticks
+            now = self.engine.now
+            self._tx = {t: r for t, r in self._tx.items() if t >= now - 1}
+            reg = self._tx[at] = set()
+        reg.add(tx)
         if frame.type is MessageType.ROUTING:
             assert uid is not None
             self.metrics.routing_log.append(
@@ -109,14 +116,13 @@ class Simulation:
             if self.link.can_hear(tx, only_to):
                 self.engine.schedule(at + 1, FrameArrival(only_to, frame, tx, uid))
             return
-        audible = (
-            self.link.beacon_audible
+        hearers = (
+            self.link.beacon_hearers
             if frame.type is MessageType.DST_BCAST
-            else self.link.can_hear
+            else self.link.hearers
         )
-        for rx in self.nodes:
-            if rx != tx and audible(tx, rx):
-                self.engine.schedule(at + 1, FrameArrival(rx, frame, tx, uid))
+        for rx in hearers[tx]:
+            self.engine.schedule(at + 1, FrameArrival(rx, frame, tx, uid))
 
     def channel_busy(self, me: int) -> bool:
         """Clear-channel assessment: an audible station is transmitting now."""

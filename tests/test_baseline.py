@@ -98,27 +98,42 @@ def test_first_backoff_window_spans_eight_slots():
     assert {d // slot for d in delays} == set(range(8))
 
 
-def tx_ticks(sim, node_id):
-    return sorted(t for t, txers in sim._tx.items() if node_id in txers)
+def record_tx(sim):
+    """Log (tick, sender) of every transmission from here on."""
+    log = []
+    transmit_at = sim.transmit_at
+
+    def logging_transmit_at(at, tx, *args, **kwargs):
+        log.append((at, tx))
+        transmit_at(at, tx, *args, **kwargs)
+
+    sim.transmit_at = logging_transmit_at
+    return log
+
+
+def tx_ticks(log, node_id):
+    return sorted(t for t, tx in log if tx == node_id)
 
 
 def test_transmission_follows_clear_sample_by_cca_time():
     sim = aodv_sim()
     node = sim.nodes[1]
+    log = record_tx(sim)
     node.csma_send(Response(0, 1, -60), "response", target=0)
     [(cca_at, _)] = scheduled(sim, "cca")
     sim.engine.run_until(10_000, sim._handle)
-    assert tx_ticks(sim, 1) == [cca_at + sim.csma_params.cca_ms]
+    assert tx_ticks(log, 1) == [cca_at + sim.csma_params.cca_ms]
 
 
 def test_own_frames_serialize_through_the_idle_gap():
     sim = aodv_sim()
     node = sim.nodes[1]
     node.dst_rssi = -60
+    log = record_tx(sim)
     node.csma_send(Response(0, 1, -60), "response", target=0)
     node.csma_send(Response(2, 1, -60), "response", target=2)
     sim.engine.run_until(20_000, sim._handle)
-    ticks = tx_ticks(sim, 1)
+    ticks = tx_ticks(log, 1)
     assert len(ticks) == 2
     # channel is held through tx+1, then a fresh window plus the CCA gap
     assert ticks[1] >= ticks[0] + 1 + sim.csma_params.cca_ms
@@ -128,13 +143,14 @@ def test_busy_channel_exhausts_csma_then_backs_off_and_drops():
     sim = aodv_sim(trace=True, horizon_ms=400_000)
     sim.channel_busy = lambda me: True
     node = sim.nodes[1]
+    log = record_tx(sim)
     node.enqueue(PacketMeta(0, 1, 2))
     sim.engine.run_until(400_000, sim._handle)
     # every handshake surveys the channel 1 + max_csma_backoffs times, and the
     # initial attempt plus max_tx_attempts retries all abandon the same way
     cca_fires = [ln for ln in sim.engine.trace if "\tcca:" in ln]
     assert len(cca_fires) == 9 * (1 + sim.csma_params.max_csma_backoffs)
-    assert tx_ticks(sim, 1) == []  # the RTS never reached the air
+    assert tx_ticks(log, 1) == []  # the RTS never reached the air
     assert sim._dropped[0][0] == "max_attempts"
     [hop] = sim.metrics.hops
     assert not hop.success
@@ -147,11 +163,12 @@ def test_abandoned_response_is_dropped_silently():
     sim.channel_busy = lambda me: True
     node = sim.nodes[1]
     node.dst_rssi = -60
+    log = record_tx(sim)
     node.csma_send(Response(0, 1, -60), "response", target=0)
     sim.engine.run_until(100_000, sim._handle)
     assert node._csma_item is None
     assert node.phase == IDLE
-    assert tx_ticks(sim, 1) == []
+    assert tx_ticks(log, 1) == []
     assert sim._dropped == {} and sim.metrics.hops == []
 
 
@@ -245,7 +262,9 @@ def test_two_contenders_never_share_a_tick():
         start_ms=0,
         horizon_ms=600_000,
     )
+    log = record_tx(sim)
     metrics = sim.run()
     # the CSMA pacing keeps the two contending senders off each other's ticks
-    assert not [t for t, txers in sim._tx.items() if {0, 1} <= txers]
+    assert tx_ticks(log, 0) and tx_ticks(log, 1)
+    assert not set(tx_ticks(log, 0)) & set(tx_ticks(log, 1))
     assert metrics.delivered_count == 2

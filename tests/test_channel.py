@@ -1,4 +1,4 @@
-"""Radio model: path loss, rounding, walls, SIR adjudication, link cache."""
+"""Radio model: path loss, rounding, walls, the link table and its verdicts."""
 
 import math
 import random
@@ -12,9 +12,6 @@ from brsim.channel import (
     Position,
     Topology,
     WallSegment,
-    beacon_success,
-    can_hear,
-    delivery_success,
     path_loss,
     rssi,
     segments_intersect,
@@ -86,10 +83,10 @@ def test_sensitivity_matches_configured_range():
 
 def test_can_hear_boundary_tie_succeeds():
     params = ChannelParams(tx_range_m=6.0)
-    t = topo([(0.0, 0.0), (6.0, 0.0), (7.0, 0.0)])
-    assert can_hear(0, 1, t, params)
-    assert not can_hear(0, 2, t, params)
-    assert not can_hear(0, 0, t, params)
+    link = LinkCache(topo([(0.0, 0.0), (6.0, 0.0), (7.0, 0.0)]), params)
+    assert link.can_hear(0, 1)
+    assert not link.can_hear(0, 2)
+    assert not link.can_hear(0, 0)
 
 
 # ---- wall intersection -------------------------------------------------------
@@ -171,52 +168,46 @@ def test_wall_lowers_rssi_by_its_attenuation():
 def test_beacon_sir_boundary_tie_passes():
     # rssi -85 against the -95 dBm floor is exactly the 10 dB target
     d = 10.0 ** 1.5
-    t = topo([(0.0, 0.0), (d, 0.0)])
-    assert rssi(t.position(0), t.position(1), t, DEFAULTS) == -85
-    assert beacon_success(0, 1, frozenset(), t, DEFAULTS)
+    link = LinkCache(topo([(0.0, 0.0), (d, 0.0)]), DEFAULTS)
+    assert link.rssi_of(0, 1) == -85
+    assert link.beacon(0, 1, frozenset())
+    assert link.beacon_audible(0, 1)
 
 
 def test_beacon_fails_one_dbm_past_the_target():
     d = 10.0 ** (46.0 / 30.0)  # rounds to -86 dBm
-    t = topo([(0.0, 0.0), (d, 0.0)])
-    assert rssi(t.position(0), t.position(1), t, DEFAULTS) == -86
-    assert not beacon_success(0, 1, frozenset(), t, DEFAULTS)
+    link = LinkCache(topo([(0.0, 0.0), (d, 0.0)]), DEFAULTS)
+    assert link.rssi_of(0, 1) == -86
+    assert not link.beacon(0, 1, frozenset())
+    assert not link.beacon_audible(0, 1)
 
 
 def test_beacon_reaches_past_data_range():
     d = 10.0 ** 1.5  # 31.62 m: outside the 30 m data range, SIR still passes
-    t = topo([(0.0, 0.0), (d, 0.0)])
-    assert not can_hear(0, 1, t, DEFAULTS)
-    assert beacon_success(0, 1, frozenset(), t, DEFAULTS)
-    assert not delivery_success(0, 1, frozenset(), t, DEFAULTS)
+    link = LinkCache(topo([(0.0, 0.0), (d, 0.0)]), DEFAULTS)
+    assert not link.can_hear(0, 1)
+    assert link.beacon(0, 1, frozenset())
+    assert not link.delivery(0, 1, frozenset())
+    assert link.hearers[0] == ()
+    assert link.beacon_hearers[0] == (1,)
 
 
 def test_delivery_survives_weak_interferer():
-    t = topo([(0.0, 0.0), (5.0, 0.0), (100.0, 0.0)])
-    assert delivery_success(0, 1, frozenset({2}), t, DEFAULTS)
+    link = LinkCache(topo([(0.0, 0.0), (5.0, 0.0), (100.0, 0.0)]), DEFAULTS)
+    assert link.delivery(0, 1, frozenset({2}))
 
 
 def test_delivery_killed_by_close_interferer():
-    t = topo([(0.0, 0.0), (5.0, 0.0), (6.0, 0.0)])
-    assert delivery_success(0, 1, frozenset(), t, DEFAULTS)
-    assert not delivery_success(0, 1, frozenset({2}), t, DEFAULTS)
+    link = LinkCache(topo([(0.0, 0.0), (5.0, 0.0), (6.0, 0.0)]), DEFAULTS)
+    assert link.delivery(0, 1, frozenset())
+    assert not link.delivery(0, 1, frozenset({2}))
 
 
 def test_symmetric_collision_kills_both_directions():
     # two transmitters equidistant from a middle receiver: SIR ~ 0 dB each way
-    t = topo([(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)])
-    assert not delivery_success(0, 1, frozenset({2}), t, DEFAULTS)
-    assert not delivery_success(2, 1, frozenset({0}), t, DEFAULTS)
-
-
-def test_adjudication_rejects_malformed_concurrent_sets():
-    t = topo([(0.0, 0.0), (5.0, 0.0)])
-    with pytest.raises(ValueError):
-        delivery_success(0, 1, frozenset({0}), t, DEFAULTS)
-    with pytest.raises(ValueError):
-        delivery_success(0, 0, frozenset(), t, DEFAULTS)
-    with pytest.raises(ValueError):
-        beacon_success(0, 1, frozenset({0}), t, DEFAULTS)
+    link = LinkCache(topo([(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)]), DEFAULTS)
+    assert not link.delivery(0, 1, frozenset({2}))
+    assert not link.delivery(2, 1, frozenset({0}))
 
 
 # ---- LinkCache ---------------------------------------------------------------
@@ -236,6 +227,25 @@ def random_world(rng):
     return topo(positions, walls=walls)
 
 
+def oracle(t, params, tx, rx, concurrent):
+    """Reference link model straight from the geometry: (rssi, hear, delivery, beacon).
+
+    Power sums run over the interferers in ascending id, the order the
+    simulator adds them in.
+    """
+
+    def power_mw(a):
+        return 10.0 ** (rssi(t.position(a), t.position(rx), t, params) / 10.0)
+
+    r = rssi(t.position(tx), t.position(rx), t, params)
+    hear = tx != rx and r >= sensitivity_dbm(params)
+    interference = 10.0 ** (params.noise_floor_dbm / 10.0)
+    for other in sorted(concurrent):
+        interference += power_mw(other)
+    sir_ok = power_mw(tx) / interference >= 10.0 ** (params.target_sir_db / 10.0)
+    return r, hear, hear and sir_ok, tx != rx and sir_ok
+
+
 def test_link_cache_matches_module_functions():
     rng = random.Random(0xCACE)
     for _ in range(25):
@@ -246,27 +256,31 @@ def test_link_cache_matches_module_functions():
         ids = sorted(t.nodes)
         for tx in ids:
             for rx in ids:
-                assert cache.rssi_of(tx, rx) == rssi(
-                    t.position(tx), t.position(rx), t, params
-                )
-                assert cache.can_hear(tx, rx) == can_hear(tx, rx, t, params)
-                if tx == rx:
-                    continue
                 others = [o for o in ids if o not in (tx, rx)]
-                concurrent = frozenset(
-                    o for o in others if rng.random() < 0.5
-                )
-                assert cache.delivery(tx, rx, concurrent) == delivery_success(
-                    tx, rx, concurrent, t, params
-                )
-                assert cache.beacon(tx, rx, concurrent) == beacon_success(
-                    tx, rx, concurrent, t, params
-                )
+                concurrent = frozenset(o for o in others if rng.random() < 0.5)
+                r, hear, delivery, beacon = oracle(t, params, tx, rx, concurrent)
+                assert cache.rssi_of(tx, rx) == r
+                assert cache.can_hear(tx, rx) == hear
+                assert cache.beacon_audible(tx, rx) == oracle(t, params, tx, rx, ())[3]
+                assert cache.delivery(tx, rx, concurrent) == delivery
+                assert cache.beacon(tx, rx, concurrent) == beacon
+
+
+def test_hearer_lists_are_the_audible_receivers_in_id_order():
+    rng = random.Random(0x4EA2)
+    for _ in range(25):
+        t = random_world(rng)
+        cache = LinkCache(t, ChannelParams(tx_range_m=rng.choice([6.0, 12.0, 30.0])))
+        ids = sorted(t.nodes)
+        for tx in ids:
+            assert list(cache.hearers[tx]) == [rx for rx in ids if cache.can_hear(tx, rx)]
+            assert list(cache.beacon_hearers[tx]) == [
+                rx for rx in ids if cache.beacon_audible(tx, rx)
+            ]
 
 
 def test_link_cache_beacon_audible_is_quiet_channel_beacon():
-    t = topo([(0.0, 0.0), (10.0 ** 1.5, 0.0), (50.0, 0.0)])
-    cache = LinkCache(t, DEFAULTS)
-    assert cache.beacon_audible(0, 1) == beacon_success(0, 1, frozenset(), t, DEFAULTS)
-    assert cache.beacon_audible(0, 2) == beacon_success(0, 2, frozenset(), t, DEFAULTS)
+    cache = LinkCache(topo([(0.0, 0.0), (10.0 ** 1.5, 0.0), (50.0, 0.0)]), DEFAULTS)
+    assert cache.beacon_audible(0, 1) == cache.beacon(0, 1, frozenset())
+    assert cache.beacon_audible(0, 2) == cache.beacon(0, 2, frozenset())
     assert not cache.beacon_audible(0, 0)

@@ -153,6 +153,16 @@ def test_node_sweep_requires_generator_topology(tmp_path, capsys):
     assert "generator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_sweep_without_seeds_is_a_usage_error(tmp_path, capsys, seeds):
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--nodes", "5..5", "--seeds", seeds,
+        "--jobs", "1", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
 def test_sweep_trace_files_named_by_point(tmp_path):
     code = run_cli(
         "sweep", "--scenario", "tandem12", "--nodes", "5..5", "--seeds", "1",

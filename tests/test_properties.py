@@ -1,0 +1,102 @@
+"""Protocol invariants over small random floors (hypothesis).
+
+Every run, whatever the placement, walls, protocol and seed, must give each
+generated packet exactly one outcome, keep wire hop counts within the hard
+cap, never hand a long-travelled `br` packet back to a station that already
+forwarded it, and let a delivery beat any drop recorded for the same packet.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brsim.br_node import BrParams
+from brsim.channel import ChannelParams
+
+from conftest import make_sim
+
+# lengths in 10 cm steps
+gap = st.integers(15, 60).map(lambda dm: dm / 10.0)
+along = st.integers(0, 300).map(lambda dm: dm / 10.0)
+across = st.integers(0, 30).map(lambda dm: dm / 10.0)
+aside = st.integers(0, 150).map(lambda dm: dm / 10.0)
+
+
+@st.composite
+def runs(draw):
+    n = draw(st.integers(3, 8))
+    # stations 1..n-1 form a jittered chain along a narrow floor, so routes
+    # take several hops; the destination may sit off to the side, out of
+    # data range but within beacon reach, where packets wander and die
+    positions = {0: (draw(along), draw(aside))}
+    x = 0.0
+    for i in range(1, n):
+        positions[i] = (x, draw(across))
+        x += draw(gap)
+    walls = draw(
+        st.lists(
+            st.tuples(along, across, along, across, st.sampled_from([10.0, 20.0, 35.0])),
+            max_size=1,
+        )
+    )
+    sources = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True))
+    threshold = draw(st.integers(1, 3))
+    br = BrParams(loop_threshold=threshold, hard_hop_cap=draw(st.integers(threshold, 8)))
+    sim = make_sim(
+        positions,
+        0,
+        draw(st.sampled_from(["br", "aodv"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        sources=sources,
+        walls=walls,
+        channel=ChannelParams(tx_range_m=draw(st.sampled_from([6.0, 12.0]))),
+        br=br,
+        packets_per_source=draw(st.integers(1, 2)),
+        inter_arrival_ms=30_000,
+        horizon_ms=150_000,
+    )
+    return sim
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(runs())
+def test_run_invariants(sim):
+    metrics = sim.run()
+    cap = sim.br_params.hard_hop_cap
+    assert metrics.generated == sim.scenario.traffic.packets_per_source * len(
+        sim.scenario.traffic.sources
+    )
+
+    # one outcome per packet
+    assert sorted(metrics.outcomes) == list(range(metrics.generated))
+    for uid, outcome in metrics.outcomes.items():
+        assert outcome.uid == uid
+        assert outcome.delivered == (outcome.hops is not None)
+
+    # the hop cap, on the wire and at delivery
+    assert all(rec.hop_count <= cap for rec in metrics.routing_log)
+    assert all(o.hops <= cap + 1 for o in metrics.outcomes.values() if o.delivered)
+
+    # delivery beats a recorded drop; otherwise the drop's reason stands
+    for uid, outcome in metrics.outcomes.items():
+        if uid in sim._delivered:
+            assert outcome.delivered
+            assert (outcome.hops, outcome.time_ms) == sim._delivered[uid]
+        elif uid in sim._dropped:
+            assert (outcome.reason, outcome.time_ms) == sim._dropped[uid]
+        else:
+            assert outcome.reason == "horizon"
+
+    # no br revisit past the loop threshold
+    if sim.protocol == "br":
+        for rec in metrics.routing_log:
+            if rec.hop_count <= sim.br_params.loop_threshold:
+                continue
+            priors = {
+                hop.sender
+                for hop in metrics.hops
+                if hop.uid == rec.uid
+                and hop.success
+                and hop.receiver == rec.sender
+                and hop.time_ms <= rec.time_ms
+            }
+            assert rec.receiver not in priors

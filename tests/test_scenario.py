@@ -198,6 +198,7 @@ def test_sources_all_excludes_destination():
         (lambda r: r.update(traffic={"sources": []}), "sources"),
         (lambda r: r.update(traffic={"sources": [9]}), "unknown node"),
         (lambda r: r.update(traffic={"sources": [1]}), "cannot source"),
+        (lambda r: r.update(traffic={"sources": [0, 0]}), "traffic.sources: duplicate"),
         (lambda r: r.update(traffic={"sources": "some"}), "expected a list or 'all'"),
         (lambda r: r.update(traffic={"sources": [0], "rate": 3}), "unknown field"),
         (lambda r: r.update(walls={"x1": 0}), "expected a list"),

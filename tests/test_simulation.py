@@ -4,6 +4,7 @@ import pytest
 
 from brsim.channel import ChannelParams
 from brsim.frame import DstBcast, Routing
+from brsim.scenario import build_scenario
 from brsim.simulation import JobError, Simulation, run_many, run_scenario
 
 from conftest import make_scenario, make_sim
@@ -120,6 +121,39 @@ def test_channel_busy_ignores_other_ticks():
     sim = cross_sim()
     sim._tx[sim.engine.now + 5] = {0}
     assert not sim.channel_busy(3)
+
+
+def test_transmission_register_stays_small_over_a_busy_run():
+    # 10 x 10 grid, 2 m spacing, every station a source: about 21k transmissions
+    scenario = build_scenario(
+        {
+            "name": "dense_grid",
+            "horizon_s": 800,
+            "topology": {
+                "generator": "grid",
+                "rows": 10,
+                "cols": 10,
+                "floor_width_m": 18.0,
+                "floor_length_m": 18.0,
+            },
+            "channel": {"tx_range_m": 6.0},
+            "traffic": {"sources": "all"},
+        }
+    )
+    sim = Simulation(scenario, "aodv", 0)
+    sizes = []
+    transmit_at = sim.transmit_at
+
+    def measuring_transmit_at(*args, **kwargs):
+        transmit_at(*args, **kwargs)
+        sizes.append(len(sim._tx))
+
+    sim.transmit_at = measuring_transmit_at
+    assert sim.run().delivered_count == 99
+    # only ticks now and now - 1 are read, plus CSMA bookings a few ticks ahead
+    assert len(sizes) > 10_000
+    assert max(sizes) < 10
+    assert len(sim._tx) < 10
 
 
 # ---- traffic and outcomes ----------------------------------------------------------
