@@ -31,14 +31,18 @@ from .scenario import (
 from .simulation import JobError, run_many, run_scenario
 
 
+class UsageError(SystemExit):
+    """A malformed command-line value; `main` reports it with exit status 2."""
+
+
 def _parse_node_range(text: str) -> range:
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise SystemExit(f"--nodes: expected A..B, got {text!r}")
+        raise UsageError(f"--nodes: expected A..B, got {text!r}") from None
     if lo < 2 or hi < lo:
-        raise SystemExit(f"--nodes: need 2 <= A <= B, got {text!r}")
+        raise UsageError(f"--nodes: need 2 <= A <= B, got {text!r}")
     return range(lo, hi + 1)
 
 
@@ -48,9 +52,9 @@ def _parse_p_range(text: str) -> list[float]:
         lo_text, hi_text = span.split("..")
         lo, hi, step = float(lo_text), float(hi_text), float(step_text)
     except ValueError:
-        raise SystemExit(f"--p: expected A..B:STEP, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise SystemExit(f"--p: need A <= B and STEP > 0, got {text!r}")
+        raise UsageError(f"--p: expected A..B:STEP, got {text!r}") from None
+    if step <= 0 or not 0.0 <= lo <= hi <= 1.0:
+        raise UsageError(f"--p: need 0 <= A <= B <= 1 and STEP > 0, got {text!r}")
     values = []
     i = 0
     while True:
@@ -120,16 +124,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
-        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     raw, default_name = load_raw(args.scenario)
     raw = apply_overrides(raw, args.set)
     if args.nodes is not None:
         if raw.get("topology", {}).get("generator") is None:
-            print(
-                "error: --nodes sweeps need a generator topology", file=sys.stderr
-            )
-            return 2
+            raise UsageError("--nodes sweeps need a generator topology")
         values = [("n", n) for n in _parse_node_range(args.nodes)]
         variable = "topology.count"
     else:
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -143,7 +143,6 @@ class Engine:
         self.run_seed = run_seed
         self.trace = trace
         self.now = 0
-        self.scheduled = 0
         self.processed = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
@@ -154,7 +153,6 @@ class Engine:
             raise PastEventError(f"cannot schedule at {time}, current time is {self.now}")
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        self.scheduled += 1
 
     def pending(self) -> int:
         return len(self._heap)

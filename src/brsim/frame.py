@@ -1,19 +1,12 @@
 """Wire frames for the relay-routing MAC.
 
-Five frame types travel over the air. All multi-byte fields are big-endian.
-Node ids are unsigned 16-bit; 0xFFFF is reserved as the broadcast id and is
-never assigned to a node. RSSI is a signed 16-bit whole-dBm reading. The hop
-counter is the single 32-bit field.
-
-Layouts (sizes in bytes):
-
-    SrcBcast (type 1, RTS)          | type:2 | broadcast_node_id:2 |                      = 4
-    DstBcast (type 2, beacon)       | type:2 | broadcast_node_id:2 |                      = 4
-    Response (type 3, RTS reply)    | type:2 | broadcast_node_id:2 | response_node_id:2
-                                    | dst_rssi:2 |                                        = 8
-    Routing  (type 4, data)         | type:2 | source_node_id:2 | dest_node_id:2
-                                    | send_node_id:2 | recv_node_id:2 | hop_count:4       = 14
-    Ack      (type 5)               | type:2 | response_node_id:2 |                       = 4
+Five frame types travel over the air. Each frame class declares its wire
+layout once, as a big-endian `struct` format whose first field is the 16-bit
+type code and whose remaining fields are the class's fields in order; the
+frame sizes, the field range checks and the codec all derive from it. Node
+ids are unsigned 16-bit ("H"); 0xFFFF is reserved as the broadcast id and is
+never assigned to a node. RSSI is a signed 16-bit whole-dBm reading ("h").
+The hop counter is the single 32-bit field ("I").
 
 `decode_frame` raises FrameDecodeError subclasses for unknown type codes,
 short buffers, and trailing bytes.
@@ -27,9 +20,12 @@ from enum import IntEnum
 
 BROADCAST_ID = 0xFFFF
 
-_U16_MAX = 0xFFFF
-_U32_MAX = 0xFFFFFFFF
-_I16_MIN, _I16_MAX = -0x8000, 0x7FFF
+# struct code -> (name, lowest, highest) of the values a field may hold
+_RANGES = {
+    "H": ("uint16", 0, 0xFFFF),
+    "h": ("int16", -0x8000, 0x7FFF),
+    "I": ("uint32", 0, 0xFFFFFFFF),
+}
 
 
 class MessageType(IntEnum):
@@ -38,15 +34,6 @@ class MessageType(IntEnum):
     RESPONSE = 3
     ROUTING = 4
     ACK = 5
-
-
-FRAME_SIZES = {
-    MessageType.SRC_BCAST: 4,
-    MessageType.DST_BCAST: 4,
-    MessageType.RESPONSE: 8,
-    MessageType.ROUTING: 14,
-    MessageType.ACK: 4,
-}
 
 
 class FrameDecodeError(Exception):
@@ -65,58 +52,61 @@ class TrailingBytesError(FrameDecodeError):
     pass
 
 
-def _check_u16(value: int, field: str) -> None:
-    if not 0 <= value <= _U16_MAX:
-        raise ValueError(f"{field} out of range for uint16: {value}")
+class _Wire:
+    """Base of the frame classes: derives the codec and checks from `layout`.
 
+    Each subclass is a frozen dataclass that sets `type` and `layout`.
+    """
 
-def _check_i16(value: int, field: str) -> None:
-    if not _I16_MIN <= value <= _I16_MAX:
-        raise ValueError(f"{field} out of range for int16: {value}")
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # field names in declaration order, each with its struct code's range
+        cls._fields = tuple(cls.__annotations__)
+        cls._ranges = tuple(
+            (name, *_RANGES[code]) for name, code in zip(cls._fields, cls.layout[2:])
+        )
+
+    def __post_init__(self) -> None:
+        values = self.__dict__
+        for name, kind, lo, hi in self._ranges:
+            if not lo <= values[name] <= hi:
+                raise ValueError(f"{name} out of range for {kind}: {values[name]}")
 
 
 @dataclass(frozen=True)
-class SrcBcast:
+class SrcBcast(_Wire):
     """RTS: a holder announces it wants to hand a packet off."""
 
     broadcast_node_id: int
 
-    def __post_init__(self) -> None:
-        _check_u16(self.broadcast_node_id, "broadcast_node_id")
-
     type = MessageType.SRC_BCAST
+    layout = ">HH"
 
 
 @dataclass(frozen=True)
-class DstBcast:
+class DstBcast(_Wire):
     """Location beacon emitted periodically by the destination."""
 
     broadcast_node_id: int
 
-    def __post_init__(self) -> None:
-        _check_u16(self.broadcast_node_id, "broadcast_node_id")
-
     type = MessageType.DST_BCAST
+    layout = ">HH"
 
 
 @dataclass(frozen=True)
-class Response:
+class Response(_Wire):
     """Reply to an RTS carrying the responder's stored destination RSSI."""
 
     broadcast_node_id: int
     response_node_id: int
     dst_rssi: int
 
-    def __post_init__(self) -> None:
-        _check_u16(self.broadcast_node_id, "broadcast_node_id")
-        _check_u16(self.response_node_id, "response_node_id")
-        _check_i16(self.dst_rssi, "dst_rssi")
-
     type = MessageType.RESPONSE
+    layout = ">HHHh"
 
 
 @dataclass(frozen=True)
-class Routing:
+class Routing(_Wire):
     """Data frame. hop_count is the number of completed handovers so far."""
 
     source_node_id: int
@@ -125,54 +115,31 @@ class Routing:
     recv_node_id: int
     hop_count: int
 
-    def __post_init__(self) -> None:
-        _check_u16(self.source_node_id, "source_node_id")
-        _check_u16(self.dest_node_id, "dest_node_id")
-        _check_u16(self.send_node_id, "send_node_id")
-        _check_u16(self.recv_node_id, "recv_node_id")
-        if not 0 <= self.hop_count <= _U32_MAX:
-            raise ValueError(f"hop_count out of range for uint32: {self.hop_count}")
-
     type = MessageType.ROUTING
+    layout = ">HHHHHI"
 
 
 @dataclass(frozen=True)
-class Ack:
+class Ack(_Wire):
     """Acknowledgement of a received Routing frame."""
 
     response_node_id: int
 
-    def __post_init__(self) -> None:
-        _check_u16(self.response_node_id, "response_node_id")
-
     type = MessageType.ACK
+    layout = ">HH"
 
 
 Frame = SrcBcast | DstBcast | Response | Routing | Ack
 
 
+_CLASSES = {cls.type: cls for cls in Frame.__args__}
+
+FRAME_SIZES = {code: struct.calcsize(cls.layout) for code, cls in _CLASSES.items()}
+
+
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame to its big-endian wire form."""
-    t = frame.type
-    if t is MessageType.SRC_BCAST or t is MessageType.DST_BCAST:
-        return struct.pack(">HH", t, frame.broadcast_node_id)
-    if t is MessageType.RESPONSE:
-        return struct.pack(
-            ">HHHh", t, frame.broadcast_node_id, frame.response_node_id, frame.dst_rssi
-        )
-    if t is MessageType.ROUTING:
-        return struct.pack(
-            ">HHHHHI",
-            t,
-            frame.source_node_id,
-            frame.dest_node_id,
-            frame.send_node_id,
-            frame.recv_node_id,
-            frame.hop_count,
-        )
-    if t is MessageType.ACK:
-        return struct.pack(">HH", t, frame.response_node_id)
-    raise ValueError(f"unencodable frame: {frame!r}")
+    return struct.pack(frame.layout, frame.type, *(getattr(frame, f) for f in frame._fields))
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -180,30 +147,16 @@ def decode_frame(data: bytes) -> Frame:
     if len(data) < 2:
         raise TruncatedFrameError(f"need at least 2 bytes for the type field, got {len(data)}")
     (code,) = struct.unpack_from(">H", data, 0)
-    try:
-        mtype = MessageType(code)
-    except ValueError:
-        raise UnknownTypeError(f"unknown frame type code {code}") from None
-    size = FRAME_SIZES[mtype]
+    cls = _CLASSES.get(code)
+    if cls is None:
+        raise UnknownTypeError(f"unknown frame type code {code}")
+    size = FRAME_SIZES[cls.type]
     if len(data) < size:
         raise TruncatedFrameError(
-            f"{mtype.name} frame needs {size} bytes, got {len(data)}"
+            f"{cls.type.name} frame needs {size} bytes, got {len(data)}"
         )
     if len(data) > size:
         raise TrailingBytesError(
-            f"{len(data) - size} trailing bytes after {size}-byte {mtype.name} frame"
+            f"{len(data) - size} trailing bytes after {size}-byte {cls.type.name} frame"
         )
-    if mtype is MessageType.SRC_BCAST:
-        (_, bid) = struct.unpack(">HH", data)
-        return SrcBcast(bid)
-    if mtype is MessageType.DST_BCAST:
-        (_, bid) = struct.unpack(">HH", data)
-        return DstBcast(bid)
-    if mtype is MessageType.RESPONSE:
-        (_, bid, rid, rssi) = struct.unpack(">HHHh", data)
-        return Response(bid, rid, rssi)
-    if mtype is MessageType.ROUTING:
-        (_, src, dst, snd, rcv, hops) = struct.unpack(">HHHHHI", data)
-        return Routing(src, dst, snd, rcv, hops)
-    (_, rid) = struct.unpack(">HH", data)
-    return Ack(rid)
+    return cls(*struct.unpack(cls.layout, data)[1:])

@@ -73,7 +73,6 @@ class RadioNode:
         self.current_target: int | None = None
         self._token = 0
         self._live: dict[str, int] = {}
-        self._pending_responses: dict[int, int] = {}  # token -> RTS owner
         self._seen: set[int] = set()  # uids ever held here, for duplicate rejection
 
     # ---- timer plumbing -------------------------------------------------
@@ -178,10 +177,9 @@ class RadioNode:
         """Queue a Response after the anti-collision jitter of whole slots."""
         p = self.sim.br_params
         jitter = self.sim.engine.draw_uniform(self.id, p.response_slot_bound) * p.slot_ms
-        self._token += 1
-        self._pending_responses[self._token] = owner
+        # a Response is never cancelled, so its timer needs no token
         self.sim.engine.schedule(
-            self.sim.engine.now + jitter, TimerFire(self.id, "respond", owner, self._token)
+            self.sim.engine.now + jitter, TimerFire(self.id, "respond", owner)
         )
 
     def _emit_response(self, owner: int) -> None:
@@ -223,9 +221,7 @@ class RadioNode:
 
     def on_timer(self, tag: str, ref: int, token: int) -> None:
         if tag == "respond":
-            owner = self._pending_responses.pop(token, None)
-            if owner is not None:
-                self._emit_response(owner)
+            self._emit_response(ref)  # ref is the owner of the RTS
         elif tag == "select":
             if self.phase == AWAIT_RESPONSES and self._is_live(tag, token):
                 self._on_select_timer()

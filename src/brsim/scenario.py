@@ -24,6 +24,10 @@ A scenario is a YAML mapping with these sections (all optional unless noted):
       inter_arrival_ms: 60000
       start_ms: 0
 
+Each section is validated against the signature of the callee it feeds (see
+`_build`), so its keys and defaults are that callee's parameters: the
+dataclasses above, `tandem_topology`/`grid_topology`, `_node` and `_wall`.
+
 Dotted overrides ("br.relay_probability=0.5") are applied to the raw mapping
 before validation, so every parameter reachable in the document is reachable
 from the command line as well.
@@ -32,6 +36,8 @@ from the command line as well.
 from __future__ import annotations
 
 import copy
+import functools
+import inspect
 import math
 import os
 from dataclasses import dataclass, fields
@@ -42,6 +48,7 @@ import yaml
 from .baseline import CsmaParams
 from .br_node import BrParams
 from .channel import ChannelParams, Position, Topology, WallSegment
+from .frame import BROADCAST_ID
 
 
 class ScenarioError(Exception):
@@ -88,9 +95,12 @@ class Scenario:
 
 # ---- topology generators ---------------------------------------------------
 
+_FLOOR_WIDTH_M = 2.05
+_FLOOR_LENGTH_M = 14.0
+
 
 def tandem_topology(
-    count: int, floor_width_m: float = 2.05, floor_length_m: float = 14.0
+    count: int, floor_width_m: float = _FLOOR_WIDTH_M, floor_length_m: float = _FLOOR_LENGTH_M
 ) -> Topology:
     """Equally spaced line along the floor centerline, ends are source/destination."""
     if count < 2:
@@ -102,7 +112,10 @@ def tandem_topology(
 
 
 def grid_topology(
-    rows: int, cols: int, floor_width_m: float, floor_length_m: float
+    rows: int,
+    cols: int,
+    floor_width_m: float = _FLOOR_WIDTH_M,
+    floor_length_m: float = _FLOOR_LENGTH_M,
 ) -> Topology:
     """rows x cols lattice filling the floor, destination in the last corner."""
     if rows < 1 or cols < 1 or rows * cols < 2:
@@ -116,6 +129,9 @@ def grid_topology(
     return Topology(nodes=nodes, destination=rows * cols - 1)
 
 
+_GENERATORS = {"tandem": tandem_topology, "grid": grid_topology}
+
+
 # ---- section builders --------------------------------------------------------
 
 
@@ -125,208 +141,135 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _coerce(value, target: type, where: str):
+def _coerce(value, target, where: str):
+    """Check a value for an `int` or `float` target; other targets take it as is."""
+    if target is not int and target is not float:
+        return value
+    expected = "an integer" if target is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: expected {expected}, got {value!r}")
     if target is int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, float) and not value.is_integer():
             raise ValidationError(f"{where}: expected an integer, got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ValidationError(f"{where}: expected an integer, got {value!r}")
-            value = int(value)
-        return value
-    if target is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{where}: expected a number, got {value!r}")
+        return int(value)
+    try:
         value = float(value)
-        if not math.isfinite(value):
-            raise ValidationError(f"{where}: must be finite, got {value!r}")
-        return value
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: must be finite, got {value!r}")
     return value
 
 
-def _build_params(cls, section, where: str):
-    section = _require_mapping(section or {}, where)
-    allowed = {f.name: f for f in fields(cls)}
-    kwargs = {}
-    for key, value in section.items():
-        if key not in allowed:
+@functools.cache
+def _schema(target):
+    return inspect.signature(target, eval_str=True).parameters
+
+
+def _build(target, section, where: str):
+    """Call `target` with the entries of the mapping `section` as arguments.
+
+    The schema is the signature of `target`: every key must name one of its
+    parameters, a parameter without a default is required, and values for
+    `int` and `float` parameters are coerced. A ValueError raised by
+    `target` becomes a ValidationError naming the section.
+    """
+    section = _require_mapping(section, where)
+    params = _schema(target)
+    for key in section:
+        if key not in params:
             raise ValidationError(f"{where}.{key}: unknown field")
-        target = {"int": int, "float": float}.get(allowed[key].type, None)
-        kwargs[key] = _coerce(value, target, f"{where}.{key}") if target else value
+    kwargs = {}
+    for name, param in params.items():
+        if name in section:
+            kwargs[name] = _coerce(section[name], param.annotation, f"{where}.{name}")
+        elif param.default is param.empty:
+            raise ValidationError(f"{where}.{name}: required field missing")
     try:
-        return cls(**kwargs)
+        return target(**kwargs)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _build_topology(section, where: str = "topology") -> Topology:
-    section = _require_mapping(section, where)
-    has_nodes = "nodes" in section
-    has_generator = "generator" in section
-    if has_nodes and has_generator:
-        raise ValidationError(f"{where}: give either nodes or a generator, not both")
-    if has_generator:
-        return _build_generated(section, where)
-    if not has_nodes:
-        raise ValidationError(f"{where}: needs node positions or a generator")
-    known = {"nodes", "destination"}
-    for key in section:
-        if key not in known:
-            raise ValidationError(f"{where}.{key}: unknown field")
-    raw_nodes = section["nodes"]
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ValidationError(f"{where}.nodes: expected a non-empty list")
-    nodes: dict[int, Position] = {}
-    for i, entry in enumerate(raw_nodes):
-        entry = _require_mapping(entry, f"{where}.nodes[{i}]")
-        for key in entry:
-            if key not in ("id", "x", "y"):
-                raise ValidationError(f"{where}.nodes[{i}].{key}: unknown field")
-        try:
-            nid = _coerce(entry["id"], int, f"{where}.nodes[{i}].id")
-            pos = Position(
-                _coerce(entry["x"], float, f"{where}.nodes[{i}].x"),
-                _coerce(entry["y"], float, f"{where}.nodes[{i}].y"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{where}.nodes[{i}]: missing {exc.args[0]}") from exc
-        if not 0 <= nid <= 0xFFFE:
-            raise ValidationError(f"{where}.nodes[{i}].id: out of range: {nid}")
-        if nid in nodes:
-            raise ValidationError(f"{where}.nodes[{i}].id: duplicate id {nid}")
-        nodes[nid] = pos
-    if "destination" not in section:
-        raise ValidationError(f"{where}.destination: required with explicit nodes")
-    dst = _coerce(section["destination"], int, f"{where}.destination")
-    if dst not in nodes:
-        raise ValidationError(f"{where}.destination: unknown node {dst}")
-    return Topology(nodes=nodes, destination=dst)
+def _node(id: int, x: float, y: float) -> tuple[int, Position]:
+    if not 0 <= id < BROADCAST_ID:
+        raise ValueError(f"id out of range: {id}")
+    return id, Position(x, y)
 
 
-def _build_generated(section: dict, where: str) -> Topology:
-    kind = section["generator"]
-    params = {k: v for k, v in section.items() if k != "generator"}
-    if kind == "tandem":
-        allowed = {"count", "floor_width_m", "floor_length_m"}
-        for key in params:
-            if key not in allowed:
-                raise ValidationError(f"{where}.{key}: unknown tandem field")
-        if "count" not in params:
-            raise ValidationError(f"{where}.count: required for tandem")
-        return tandem_topology(
-            _coerce(params["count"], int, f"{where}.count"),
-            _coerce(params.get("floor_width_m", 2.05), float, f"{where}.floor_width_m"),
-            _coerce(
-                params.get("floor_length_m", 14.0), float, f"{where}.floor_length_m"
-            ),
-        )
-    if kind == "grid":
-        allowed = {"rows", "cols", "floor_width_m", "floor_length_m"}
-        for key in params:
-            if key not in allowed:
-                raise ValidationError(f"{where}.{key}: unknown grid field")
-        for need in ("rows", "cols"):
-            if need not in params:
-                raise ValidationError(f"{where}.{need}: required for grid")
-        return grid_topology(
-            _coerce(params["rows"], int, f"{where}.rows"),
-            _coerce(params["cols"], int, f"{where}.cols"),
-            _coerce(params.get("floor_width_m", 2.05), float, f"{where}.floor_width_m"),
-            _coerce(
-                params.get("floor_length_m", 14.0), float, f"{where}.floor_length_m"
-            ),
-        )
-    raise ValidationError(f"{where}.generator: unknown generator {kind!r}")
+def _placement(nodes: list, destination: int) -> Topology:
+    """Explicit node positions: the topology section without a generator."""
+    if not isinstance(nodes, list) or not nodes:
+        raise ValidationError("topology.nodes: expected a non-empty list")
+    placed: dict[int, Position] = {}
+    for i, entry in enumerate(nodes):
+        nid, pos = _build(_node, entry, f"topology.nodes[{i}]")
+        if nid in placed:
+            raise ValidationError(f"topology.nodes[{i}].id: duplicate id {nid}")
+        placed[nid] = pos
+    if destination not in placed:
+        raise ValidationError(f"topology.destination: unknown node {destination}")
+    return Topology(nodes=placed, destination=destination)
 
 
-def _build_walls(section, where: str = "walls") -> list[WallSegment]:
+def _wall(
+    x1: float, y1: float, x2: float, y2: float,
+    attenuation_db: float = WallSegment.attenuation_db,
+) -> WallSegment:
+    return WallSegment(Position(x1, y1), Position(x2, y2), attenuation_db)
+
+
+def _build_topology(section) -> Topology:
+    section = _require_mapping(section, "topology")
+    if "generator" not in section:
+        if "nodes" not in section:
+            raise ValidationError("topology: needs node positions or a generator")
+        return _build(_placement, section, "topology")
+    if "nodes" in section:
+        raise ValidationError("topology: give either nodes or a generator, not both")
+    params = dict(section)
+    kind = params.pop("generator")
+    if kind not in _GENERATORS:
+        raise ValidationError(f"topology.generator: unknown generator {kind!r}")
+    return _build(_GENERATORS[kind], params, "topology")
+
+
+def _build_walls(section) -> list[WallSegment]:
     if section is None:
         return []
     if not isinstance(section, list):
-        raise ValidationError(f"{where}: expected a list")
-    walls = []
-    for i, entry in enumerate(section):
-        entry = _require_mapping(entry, f"{where}[{i}]")
-        allowed = {"x1", "y1", "x2", "y2", "attenuation_db"}
-        for key in entry:
-            if key not in allowed:
-                raise ValidationError(f"{where}[{i}].{key}: unknown field")
-        for need in ("x1", "y1", "x2", "y2"):
-            if need not in entry:
-                raise ValidationError(f"{where}[{i}].{need}: required")
-        walls.append(
-            WallSegment(
-                Position(
-                    _coerce(entry["x1"], float, f"{where}[{i}].x1"),
-                    _coerce(entry["y1"], float, f"{where}[{i}].y1"),
-                ),
-                Position(
-                    _coerce(entry["x2"], float, f"{where}[{i}].x2"),
-                    _coerce(entry["y2"], float, f"{where}[{i}].y2"),
-                ),
-                _coerce(
-                    entry.get("attenuation_db", 20.0), float, f"{where}[{i}].attenuation_db"
-                ),
-            )
-        )
-    return walls
+        raise ValidationError("walls: expected a list")
+    return [_build(_wall, entry, f"walls[{i}]") for i, entry in enumerate(section)]
 
 
-def _build_traffic(section, topology: Topology, where: str = "traffic") -> TrafficSpec:
-    section = _require_mapping(section, where)
-    allowed = {"sources", "packets_per_source", "inter_arrival_ms", "start_ms"}
-    for key in section:
-        if key not in allowed:
-            raise ValidationError(f"{where}.{key}: unknown field")
-    if "sources" not in section:
-        raise ValidationError(f"{where}.sources: required")
-    raw_sources = section["sources"]
-    if raw_sources == "all":
-        sources = tuple(
-            nid for nid in sorted(topology.nodes) if nid != topology.destination
-        )
-    elif isinstance(raw_sources, list):
-        sources = tuple(
-            _coerce(s, int, f"{where}.sources[{i}]") for i, s in enumerate(raw_sources)
-        )
-    else:
-        raise ValidationError(f"{where}.sources: expected a list or 'all'")
+def _build_traffic(section, topology: Topology) -> TrafficSpec:
+    section = _require_mapping(section, "traffic")
+    if "sources" in section:
+        section = {**section, "sources": _sources(section["sources"], topology)}
+    return _build(TrafficSpec, section, "traffic")
+
+
+def _sources(raw, topology: Topology) -> tuple[int, ...]:
+    if raw == "all":
+        return tuple(nid for nid in sorted(topology.nodes) if nid != topology.destination)
+    if not isinstance(raw, list):
+        raise ValidationError("traffic.sources: expected a list or 'all'")
+    sources = tuple(_coerce(s, int, f"traffic.sources[{i}]") for i, s in enumerate(raw))
     seen = set()
     for s in sources:
         if s in seen:
-            raise ValidationError(f"{where}.sources: duplicate node {s}")
+            raise ValidationError(f"traffic.sources: duplicate node {s}")
         seen.add(s)
         if s not in topology.nodes:
-            raise ValidationError(f"{where}.sources: unknown node {s}")
+            raise ValidationError(f"traffic.sources: unknown node {s}")
         if s == topology.destination:
-            raise ValidationError(f"{where}.sources: destination {s} cannot source")
-    try:
-        return TrafficSpec(
-            sources=sources,
-            packets_per_source=_coerce(
-                section.get("packets_per_source", 1), int, f"{where}.packets_per_source"
-            ),
-            inter_arrival_ms=_coerce(
-                section.get("inter_arrival_ms", 60000), int, f"{where}.inter_arrival_ms"
-            ),
-            start_ms=_coerce(section.get("start_ms", 0), int, f"{where}.start_ms"),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+            raise ValidationError(f"traffic.sources: destination {s} cannot source")
+    return sources
 
 
-_TOP_KEYS = {
-    "name",
-    "protocol",
-    "horizon_s",
-    "horizon_ms",
-    "topology",
-    "walls",
-    "channel",
-    "br",
-    "csma",
-    "traffic",
-}
+# the Scenario fields plus the alternative horizon spelling and the walls,
+# which join the topology
+_TOP_KEYS = {f.name for f in fields(Scenario)} | {"horizon_s", "walls"}
 
 
 def build_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
@@ -353,13 +296,16 @@ def build_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         raise ValidationError("topology: required")
     topology = _build_topology(raw["topology"])
     topology.walls.extend(_build_walls(raw.get("walls")))
-    channel = _build_params(ChannelParams, raw.get("channel"), "channel")
-    br = _build_params(BrParams, raw.get("br"), "br")
-    csma = _build_params(CsmaParams, raw.get("csma"), "csma")
+    # a missing or null parameter section means all defaults; anything else
+    # must be a mapping
+    params = {
+        key: _build(cls, {} if raw.get(key) is None else raw[key], key)
+        for key, cls in (("channel", ChannelParams), ("br", BrParams), ("csma", CsmaParams))
+    }
     if "traffic" not in raw:
         raise ValidationError("traffic: required")
     traffic = _build_traffic(raw["traffic"], topology)
-    return Scenario(name, protocol, horizon_ms, topology, channel, br, csma, traffic)
+    return Scenario(name, protocol, horizon_ms, topology, traffic=traffic, **params)
 
 
 # ---- document and override handling ----------------------------------------

@@ -219,11 +219,17 @@ class Simulation:
         hops or routing_log: only idle epochs and beacons remain. An
         untraced run stops there; a traced run keeps every event, because
         its trace records them.
+
+        The nodes stay readable in `nodes` afterwards, but no longer point
+        back at the simulation, so a finished run is freed by reference
+        counting alone instead of waiting for a cyclic garbage collection.
         """
         self._stop_when_idle = self.engine.trace is None
         self._stop_if_idle()
         self.engine.run_until(self.scenario.horizon_ms, self._handle)
         self._finalize()
+        for node in self.nodes.values():
+            node.sim = None
         return self.metrics
 
     def _stop_if_idle(self) -> None:

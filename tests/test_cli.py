@@ -163,6 +163,26 @@ def test_sweep_without_seeds_is_a_usage_error(tmp_path, capsys, seeds):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--nodes", "1..3"),
+        ("--nodes", "x"),
+        ("--p", "0.9..0.1:0.1"),
+        ("--p", "0.5..1.5:0.5"),
+        ("--p", "-0.5..0.5:0.5"),
+    ],
+)
+def test_sweep_bad_range_is_a_usage_error(tmp_path, capsys, flag, value):
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", f"{flag}={value}", "--seeds", "1",
+        "--jobs", "1", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert f"error: {flag}: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_trace_files_named_by_point(tmp_path):
     code = run_cli(
         "sweep", "--scenario", "tandem12", "--nodes", "5..5", "--seeds", "1",

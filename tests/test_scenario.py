@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from brsim.channel import Position, WallSegment
 from brsim.scenario import (
     ParseError,
     ScenarioError,
@@ -205,6 +206,26 @@ def test_sources_all_excludes_destination():
         (lambda r: r.update(walls=[{"x1": 0.0}]), "required"),
         (lambda r: r.update(walls=[{"x1": 0, "y1": 0, "x2": 1, "y2": 1, "z": 2}]), "unknown field"),
         (lambda r: r.update(name=""), "name"),
+        (lambda r: r.update(br=0), "br: expected a mapping, got int"),
+        (lambda r: r.update(br=False), "br: expected a mapping, got bool"),
+        (lambda r: r.update(channel=[]), "channel: expected a mapping"),
+        (lambda r: r.update(csma=""), "csma: expected a mapping"),
+        (lambda r: r.update(channel={"tx_range_m": 10**400}), "tx_range_m: must be finite"),
+        (
+            lambda r: r.update(topology={"generator": "tandem", "count": 4, "rows": 2}),
+            "topology.rows: unknown field",
+        ),
+        (lambda r: r.update(topology={"generator": "grid", "cols": 3}), "topology.rows: required"),
+        (lambda r: r.update(topology={"generator": "ring", "count": 4}), "unknown generator"),
+        (
+            lambda r: r.update(topology={"generator": "tandem", "count": 2.5}),
+            "topology.count: expected an integer",
+        ),
+        (lambda r: r["topology"].update(nodes={"id": 0}), "topology.nodes: expected a non-empty list"),
+        (
+            lambda r: r.update(walls=[{"x1": "a", "y1": 0, "x2": 1, "y2": 1}]),
+            r"walls\[0\].x1: expected a number",
+        ),
     ],
 )
 def test_validation_errors(mutate, message):
@@ -212,6 +233,20 @@ def test_validation_errors(mutate, message):
     mutate(raw)
     with pytest.raises(ValidationError, match=message):
         build_scenario(raw)
+
+
+def test_loader_defaults_are_the_callees_defaults():
+    raw = minimal()
+    raw["topology"] = {"generator": "grid", "rows": 2, "cols": 3}
+    raw["walls"] = [{"x1": 1.0, "y1": -1.0, "x2": 1.0, "y2": 1.0}]
+    sc = build_scenario(raw)
+    assert sc.topology.nodes == grid_topology(2, 3).nodes
+    # grid and tandem fill the same default floor
+    assert sc.topology.position(5) == Position(14.0, 2.05)
+    assert tandem_topology(2).position(1) == Position(14.0, 2.05 / 2)
+    [wall] = sc.topology.walls
+    assert wall == WallSegment(Position(1.0, -1.0), Position(1.0, 1.0))
+    assert sc.traffic == TrafficSpec(sources=(0,))
 
 
 def test_int_fields_accept_integral_floats():

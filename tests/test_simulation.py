@@ -1,5 +1,7 @@
 """World-model behaviour: tick-atomic radio, adjudication, determinism."""
 
+import gc
+
 import pytest
 
 from brsim.channel import ChannelParams
@@ -406,3 +408,28 @@ def test_traffic_due_after_the_horizon_does_not_hold_the_run_open():
     assert quick.metrics.generated == 0
     assert quick.engine.processed == 0
     assert full.engine.processed > 0
+
+
+# ---- lifetime ---------------------------------------------------------------------
+
+
+def test_finished_runs_are_freed_without_a_gc_pass():
+    def live_simulations():
+        return sum(isinstance(o, Simulation) for o in gc.get_objects())
+
+    scenario = chain_scenario()
+    gc.collect()
+    before = live_simulations()
+    gc.disable()
+    try:
+        for protocol in ("br", "aodv"):
+            for trace in (False, True):
+                run_scenario(scenario, protocol, 0, trace=trace)
+        assert live_simulations() == before
+    finally:
+        gc.enable()
+    # the nodes of a finished run stay readable
+    sim = Simulation(scenario, "br", 0)
+    sim.run()
+    assert sorted(sim.nodes) == sorted(scenario.topology.nodes)
+    assert sim.nodes[1].dst_rssi is not None
