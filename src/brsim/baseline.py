@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .frame import Frame, Response, SrcBcast
-from .protocol import AWAIT_ACK, IDLE, PacketMeta, RadioNode, ResponseRecord
+from .frame import Frame, MessageType
+from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class CsmaParams:
 @dataclass
 class _CsmaItem:
     frame: Frame
-    purpose: str  # "rts" | "response" | "routing"
     target: int | None = None
     uid: int | None = None
 
@@ -59,7 +58,6 @@ class AodvNode(RadioNode):
 
     def __init__(self, node_id: int, sim) -> None:
         super().__init__(node_id, sim)
-        self.params = sim.br_params
         self.csma: CsmaParams = sim.csma_params
         self._csma_queue: deque[_CsmaItem] = deque()
         self._csma_item: _CsmaItem | None = None
@@ -68,14 +66,9 @@ class AodvNode(RadioNode):
 
     # ---- channel access ---------------------------------------------------
 
-    def csma_send(
-        self,
-        frame: Frame,
-        purpose: str,
-        target: int | None = None,
-        uid: int | None = None,
-    ) -> None:
-        self._csma_queue.append(_CsmaItem(frame, purpose, target, uid))
+    def send(self, frame: Frame, target: int | None = None, uid: int | None = None) -> None:
+        """Queue the frame for the channel; it goes on the air after a clear CCA."""
+        self._csma_queue.append(_CsmaItem(frame, target, uid))
         if self._csma_item is None:
             self._csma_next()
 
@@ -89,7 +82,7 @@ class AodvNode(RadioNode):
         delay = self.sim.engine.draw_uniform(self.id, 1 << self._csma_be) * self.csma.slot_ms
         self._arm("cca", self.sim.engine.now + delay)
 
-    def _on_extra_timer(self, tag: str, ref: int, token: int) -> None:
+    def on_timer(self, tag: str, ref: int, token: int) -> None:
         if tag == "cca":
             if self._is_live(tag, token) and self._csma_item is not None:
                 self._cca_sample()
@@ -98,6 +91,8 @@ class AodvNode(RadioNode):
                 self._csma_item = None
                 if self._csma_queue:
                     self._csma_next()
+        else:
+            super().on_timer(tag, ref, token)
 
     def _cca_sample(self) -> None:
         item = self._csma_item
@@ -112,47 +107,22 @@ class AodvNode(RadioNode):
             return
         at = self.sim.engine.now + self.csma.cca_ms
         self.sim.transmit_at(at, self.id, item.frame, only_to=item.target, uid=item.uid)
-        self._csma_committed(item, at)
+        self._on_air(item.frame, item.target, item.uid, at)
         # hold the channel state until the transmission tick has passed
         self._arm("csma-idle", at + 1)
 
-    def _csma_committed(self, item: _CsmaItem, at: int) -> None:
-        if item.purpose == "rts":
-            self._arm("select", at + self.params.response_wait_ms, ref=item.uid or 0)
-        elif item.purpose == "routing":
-            self.current_target = item.target
-            self.phase = AWAIT_ACK
-            self._arm("ack", at + self.params.ack_wait_ms, ref=item.uid or 0)
-
     def _csma_abandon(self, item: _CsmaItem) -> None:
         self._csma_item = None
-        if item.purpose in ("rts", "routing"):
-            if item.purpose == "routing":
+        t = item.frame.type
+        if t is MessageType.SRC_BCAST or t is MessageType.ROUTING:
+            if t is MessageType.ROUTING:
                 self.current_target = item.target
             self.beb_backoff()
         # an abandoned response is simply never sent
         if self._csma_item is None and self._csma_queue:
             self._csma_next()
 
-    # ---- responder side -----------------------------------------------------
-
-    def on_rts(self, tx: int) -> None:
-        if self.is_destination or self.dst_rssi is not None:
-            self._schedule_response(tx)
-
-    def _send_response(self, frame: Response, owner: int) -> None:
-        self.csma_send(frame, "response", target=owner)
-
-    # ---- sender side ----------------------------------------------------------
-
-    def _start_handshake(self) -> None:
-        self._begin_handshake_state()
-        self.csma_send(SrcBcast(self.id), "rts", uid=self.queue[0].meta.uid)
-
-    def _on_select_timer(self) -> None:
-        meta = self.queue[0].meta
-        target = self.select_next_hop(meta, self.responses)
-        self.csma_send(self._routing_frame(target), "routing", target=target, uid=meta.uid)
+    # ---- next hop -------------------------------------------------------------
 
     def select_next_hop(
         self, meta: PacketMeta, responses: list[ResponseRecord]
@@ -175,12 +145,9 @@ class AodvNode(RadioNode):
             best = max(candidates, key=lambda r: (r.link_rssi, -r.responder))
         return best.responder
 
-    # ---- queue hooks ----------------------------------------------------------
+    # ---- queue hook -----------------------------------------------------------
 
-    def _on_enqueued(self) -> None:
-        if self.phase == IDLE:
-            self._start_handshake()
-
-    def _on_hop_done(self) -> None:
+    def _on_free(self) -> None:
+        """Start on the queue head as soon as the node is idle."""
         if self.queue and self.phase == IDLE:
             self._start_handshake()

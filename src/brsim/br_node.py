@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frame import Response, SrcBcast
-from .protocol import AWAIT_ACK, IDLE, PacketMeta, RadioNode, ResponseRecord
+from .frame import Frame
+from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class BrNode(RadioNode):
 
     def __init__(self, node_id: int, sim) -> None:
         super().__init__(node_id, sim)
-        self.params: BrParams = sim.br_params
         # Mode until the first scheduled epoch: drawn from the same coin, so
         # the degenerate probabilities behave exactly from t = 0 onward.
         self.listening = not self.is_destination and sim.engine.bernoulli(
@@ -85,44 +84,14 @@ class BrNode(RadioNode):
         if not self.listening and self.queue and self.phase == IDLE:
             self._start_handshake()
 
-    # ---- responder side -----------------------------------------------------
+    # ---- channel access -------------------------------------------------------
 
-    def on_rts(self, tx: int) -> None:
-        """Answer if this station may serve as a relay right now.
+    def send(self, frame: Frame, target: int | None = None, uid: int | None = None) -> None:
+        """Transmit at once: BR stations do not sense the channel."""
+        self.sim.transmit(self.id, frame, only_to=target, uid=uid)
+        self._on_air(frame, target, uid, self.sim.engine.now)
 
-        The destination always answers. Other stations answer only in
-        listening mode and only once a beacon has given them a destination
-        reading to report.
-        """
-        if self.is_destination:
-            self._schedule_response(tx)
-            return
-        if not self.listening or self.dst_rssi is None:
-            return
-        self._schedule_response(tx)
-
-    def _send_response(self, frame: Response, owner: int) -> None:
-        self.sim.transmit(self.id, frame, only_to=owner)
-
-    # ---- sender side ---------------------------------------------------------
-
-    def _start_handshake(self) -> None:
-        self._begin_handshake_state()
-        pending = self.queue[0]
-        self.sim.transmit(self.id, SrcBcast(self.id))
-        self._arm(
-            "select",
-            self.sim.engine.now + self.params.response_wait_ms,
-            ref=pending.meta.uid,
-        )
-
-    def _on_select_timer(self) -> None:
-        meta = self.queue[0].meta
-        target = self.select_forwarder(meta, self.responses)
-        self.sim.transmit(self.id, self._routing_frame(target), only_to=target, uid=meta.uid)
-        self.current_target = target
-        self.phase = AWAIT_ACK
-        self._arm("ack", self.sim.engine.now + self.params.ack_wait_ms, ref=meta.uid)
+    # ---- next hop -------------------------------------------------------------
 
     def loop_filter(self, meta: PacketMeta, candidates: set[int]) -> set[int]:
         """Drop already-visited forwarders once the packet is long-travelled."""
@@ -130,7 +99,7 @@ class BrNode(RadioNode):
             return set(candidates)
         return set(candidates) - self.prior_forwarders[meta.uid]
 
-    def select_forwarder(
+    def select_next_hop(
         self, meta: PacketMeta, responses: list[ResponseRecord]
     ) -> int:
         """Pick the next receiver for the queued packet.

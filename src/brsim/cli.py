@@ -17,6 +17,7 @@ sweep.csv (node sweeps) or one sweep_p*.csv per probability value. With
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -46,6 +47,9 @@ def _parse_node_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+_MAX_P_VALUES = 1000
+
+
 def _parse_p_range(text: str) -> list[float]:
     try:
         span, step_text = text.split(":")
@@ -53,16 +57,15 @@ def _parse_p_range(text: str) -> list[float]:
         lo, hi, step = float(lo_text), float(hi_text), float(step_text)
     except ValueError:
         raise UsageError(f"--p: expected A..B:STEP, got {text!r}") from None
-    if step <= 0 or not 0.0 <= lo <= hi <= 1.0:
-        raise UsageError(f"--p: need 0 <= A <= B <= 1 and STEP > 0, got {text!r}")
-    values = []
-    i = 0
-    while True:
-        v = round(lo + i * step, 10)
-        if v > hi + 1e-9:
-            break
-        values.append(min(v, 1.0))
-        i += 1
+    if not 0.0 < step < math.inf or not 0.0 <= lo <= hi <= 1.0:
+        raise UsageError(f"--p: need 0 <= A <= B <= 1 and 0 < STEP < inf, got {text!r}")
+    last = (hi - lo) / step + 1e-9  # the largest i with A + i*STEP <= B, give or take
+    if last >= _MAX_P_VALUES:
+        raise UsageError(f"--p: more than {_MAX_P_VALUES} values, got {text!r}")
+    values = [min(round(lo + i * step, 10), 1.0) for i in range(int(last) + 1)]
+    if len({f"{v:g}" for v in values}) < len(values):
+        # each value names its output file, sweep_p{value:g}.csv
+        raise UsageError(f"--p: STEP too small to name each value's file, got {text!r}")
     return values
 
 
@@ -127,8 +130,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     raw, default_name = load_raw(args.scenario)
     raw = apply_overrides(raw, args.set)
+    build_scenario(raw, default_name)  # validate before reading its sections
     if args.nodes is not None:
-        if raw.get("topology", {}).get("generator") is None:
+        if "generator" not in raw["topology"]:
             raise UsageError("--nodes sweeps need a generator topology")
         values = [("n", n) for n in _parse_node_range(args.nodes)]
         variable = "topology.count"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class EmptyInputError(ValueError):
@@ -171,40 +171,29 @@ def summarize(runs: list[RunMetrics]) -> list[Aggregate]:
     return rows
 
 
-CSV_HEADER = [
-    "protocol",
-    "node_count",
-    "seed_count",
-    "mean_hops",
-    "sd_hops",
-    "mean_perhop_distance_m",
-    "sd_perhop_distance_m",
-    "delivery_ratio",
-]
+CSV_HEADER = [f.name for f in fields(Aggregate)]
+_HOP_COLUMNS = [f.name for f in fields(HopRecord)]
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
+def _cell(value) -> str:
+    """One output cell: six decimal digits for floats, 0/1 for flags, blank for None."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(int(value) if isinstance(value, bool) else value)
+
+
+def _row(record, columns: list[str]) -> list[str]:
+    return [_cell(getattr(record, name)) for name in columns]
 
 
 def write_csv(aggregates: list[Aggregate], path: str) -> None:
-    """Write summary rows; values carry six decimal digits, blanks for undefined."""
+    """Write summary rows, one column per Aggregate field."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for a in aggregates:
-            writer.writerow(
-                [
-                    a.protocol,
-                    a.node_count,
-                    a.seed_count,
-                    _fmt(a.mean_hops),
-                    _fmt(a.sd_hops),
-                    _fmt(a.mean_perhop_distance_m),
-                    _fmt(a.sd_perhop_distance_m),
-                    f"{a.delivery_ratio:.6f}",
-                ]
-            )
+        writer.writerows(_row(a, CSV_HEADER) for a in aggregates)
 
 
 def read_csv(path: str) -> list[Aggregate]:
@@ -238,9 +227,6 @@ def read_csv(path: str) -> list[Aggregate]:
 def write_hop_trace(run: RunMetrics, path: str) -> None:
     """One tab-separated line per HopRecord, in recording order."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("uid\tsender\treceiver\ttime_ms\tdistance_m\tsuccess\tattempts\n")
+        fh.write("\t".join(_HOP_COLUMNS) + "\n")
         for h in run.hops:
-            fh.write(
-                f"{h.uid}\t{h.sender}\t{h.receiver}\t{h.time_ms}\t"
-                f"{h.distance_m:.6f}\t{int(h.success)}\t{h.attempts}\n"
-            )
+            fh.write("\t".join(_row(h, _HOP_COLUMNS)) + "\n")

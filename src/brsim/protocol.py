@@ -1,10 +1,19 @@
-"""Shared node machinery: packet bookkeeping, handshake state, ACK/BEB logic.
+"""Shared node machinery: the hop handshake, packet bookkeeping, ACK/BEB logic.
 
-Both protocol variants drive the same four-step hop: broadcast an RTS, collect
-Response frames for a fixed window, pick a receiver, send the Routing frame
-and wait for its Ack. They differ in when a handshake may start, who answers
-an RTS, how the receiver is picked, and whether transmissions contend via
-CSMA. Those differences live in the subclasses; everything here is common.
+Both protocol variants drive the same four-step hop, and it is written once,
+here: broadcast an RTS, collect Response frames for a fixed window, pick a
+receiver, send the Routing frame and wait for its Ack. Each subclass supplies
+only its policy:
+
+- `listening`: whether a station that holds a destination reading answers an
+  RTS right now (BR's per-epoch coin; the baseline always listens);
+- `select_next_hop`: which responder receives the packet;
+- `send`: how a frame reaches the air (BR transmits at once, the baseline
+  contends with CSMA/CA). `send` reports each frame's on-air tick back
+  through `_on_air`, which arms the response window and the ack wait.
+
+When a handshake starts is policy too: BR starts one at a transmit epoch
+(`on_epoch`), the baseline as soon as it is idle with data (`_on_free`).
 
 A node owns exactly one handshake at a time, for the head of its FIFO queue.
 Timer staleness is handled with per-tag tokens: re-arming a tag invalidates
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .engine import TimerFire
-from .frame import Ack, Frame, MessageType, Response, Routing
+from .frame import Ack, Frame, MessageType, Response, Routing, SrcBcast
 
 if TYPE_CHECKING:
     from .simulation import Simulation
@@ -58,11 +67,14 @@ BACKOFF = "backoff"
 
 
 class RadioNode:
-    """Base station logic; subclasses add the protocol-specific policy."""
+    """Base station logic; subclasses supply the policy the module names."""
+
+    listening = True
 
     def __init__(self, node_id: int, sim: "Simulation") -> None:
         self.id = node_id
         self.sim = sim
+        self.params = sim.br_params
         self.destination = sim.topology.destination
         self.is_destination = node_id == self.destination
         self.dst_rssi: int | None = None
@@ -105,7 +117,14 @@ class RadioNode:
         self.dst_rssi = measured
 
     def on_rts(self, tx: int) -> None:
-        raise NotImplementedError
+        """Answer if this station may serve as a relay right now.
+
+        The destination always answers. Other stations answer only while
+        listening and only once a beacon has given them a destination
+        reading to report.
+        """
+        if self.is_destination or (self.listening and self.dst_rssi is not None):
+            self._schedule_response(tx)
 
     def _collect_response(self, frame: Response, measured: int) -> None:
         if self.phase == AWAIT_RESPONSES and frame.broadcast_node_id == self.id:
@@ -131,7 +150,7 @@ class RadioNode:
         if uid in self._seen:
             return
         next_hop = frame.hop_count + 1
-        if next_hop > self.sim.br_params.hard_hop_cap:
+        if next_hop > self.params.hard_hop_cap:
             self.sim.drop(uid, "hop_cap")
             return
         self.enqueue(PacketMeta(uid, frame.source_node_id, frame.dest_node_id, next_hop))
@@ -140,7 +159,7 @@ class RadioNode:
         self._seen.add(meta.uid)
         self.queue.append(_Pending(meta))
         self.sim.packet_queued()
-        self._on_enqueued()
+        self._on_free()
 
     def _dequeue(self) -> _Pending:
         pending = self.queue.popleft()
@@ -160,22 +179,41 @@ class RadioNode:
         )
         self.phase = IDLE
         self.current_target = None
-        self._on_hop_done()
+        self._on_free()
 
-    # ---- handshake state ------------------------------------------------
+    # ---- the hop ------------------------------------------------------------
 
-    def _begin_handshake_state(self) -> None:
+    def _start_handshake(self) -> None:
+        """Broadcast an RTS for the queue head and collect the answers."""
         self.responses = []
         self.phase = AWAIT_RESPONSES
         self.current_target = None
+        self.send(SrcBcast(self.id), uid=self.queue[0].meta.uid)
 
-    def _routing_frame(self, target: int) -> Routing:
+    def _on_select_timer(self) -> None:
+        """The response window closed: send the packet to the chosen receiver."""
         meta = self.queue[0].meta
-        return Routing(meta.source, meta.dest, self.id, target, meta.hop_count)
+        target = self.select_next_hop(meta, self.responses)
+        routing = Routing(meta.source, meta.dest, self.id, target, meta.hop_count)
+        self.send(routing, target, meta.uid)
+
+    def _on_air(self, frame: Frame, target: int | None, uid: int | None, at: int) -> None:
+        """One of this node's frames goes on the air at tick `at`.
+
+        The response window and the ack wait run from that tick, so a frame
+        that waited for the channel is given its full window.
+        """
+        t = frame.type
+        if t is MessageType.SRC_BCAST:
+            self._arm("select", at + self.params.response_wait_ms, ref=uid)
+        elif t is MessageType.ROUTING:
+            self.current_target = target
+            self.phase = AWAIT_ACK
+            self._arm("ack", at + self.params.ack_wait_ms, ref=uid)
 
     def _schedule_response(self, owner: int) -> None:
         """Queue a Response after the anti-collision jitter of whole slots."""
-        p = self.sim.br_params
+        p = self.params
         jitter = self.sim.engine.draw_uniform(self.id, p.response_slot_bound) * p.slot_ms
         # a Response is never cancelled, so its timer needs no token
         self.sim.engine.schedule(
@@ -184,7 +222,7 @@ class RadioNode:
 
     def _emit_response(self, owner: int) -> None:
         assert self.dst_rssi is not None
-        self._send_response(Response(owner, self.id, self.dst_rssi), owner)
+        self.send(Response(owner, self.id, self.dst_rssi), owner)
 
     # ---- retransmission -------------------------------------------------
 
@@ -195,7 +233,7 @@ class RadioNode:
         packet is dropped, otherwise the retry fires after a uniformly drawn
         number of slots in [0, 2^min(attempts, max_backoff_exponent)).
         """
-        p = self.sim.br_params
+        p = self.params
         pending = self.queue[0]
         pending.attempts += 1
         if pending.attempts > p.max_tx_attempts:
@@ -210,7 +248,7 @@ class RadioNode:
             self._dequeue()
             self.phase = IDLE
             self.current_target = None
-            self._on_hop_done()
+            self._on_free()
             return
         exponent = min(pending.attempts, p.max_backoff_exponent)
         delay = self.sim.engine.draw_uniform(self.id, 1 << exponent) * p.slot_ms
@@ -231,28 +269,6 @@ class RadioNode:
         elif tag == "backoff":
             if self.phase == BACKOFF and self._is_live(tag, token):
                 self._start_handshake()
-        else:
-            self._on_extra_timer(tag, ref, token)
 
-    # ---- subclass hooks ---------------------------------------------------
-
-    def on_epoch(self) -> None:
-        pass
-
-    def _start_handshake(self) -> None:
-        raise NotImplementedError
-
-    def _on_select_timer(self) -> None:
-        raise NotImplementedError
-
-    def _send_response(self, frame: Response, owner: int) -> None:
-        raise NotImplementedError
-
-    def _on_enqueued(self) -> None:
-        pass
-
-    def _on_hop_done(self) -> None:
-        pass
-
-    def _on_extra_timer(self, tag: str, ref: int, token: int) -> None:
-        pass
+    def _on_free(self) -> None:
+        """The queue gained a packet or lost its head; BR waits for its epoch."""

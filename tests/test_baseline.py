@@ -5,7 +5,7 @@ import pytest
 from brsim.baseline import CsmaParams, _CsmaItem
 from brsim.channel import ChannelParams
 from brsim.engine import TimerFire
-from brsim.frame import Response, Routing
+from brsim.frame import MessageType, Response, Routing
 from brsim.protocol import AWAIT_ACK, BACKOFF, IDLE, PacketMeta, ResponseRecord
 
 from conftest import make_sim, tandem_positions
@@ -90,7 +90,7 @@ def test_first_backoff_window_spans_eight_slots():
     for seed in range(60):
         sim = aodv_sim(seed=seed)
         node = sim.nodes[1]
-        node.csma_send(Response(0, 1, -60), "response", target=0)
+        node.send(Response(0, 1, -60), target=0)
         [(t, ev)] = scheduled(sim, "cca")
         delays.append(t - sim.engine.now)
     slot = CsmaParams().slot_ms
@@ -119,7 +119,7 @@ def test_transmission_follows_clear_sample_by_cca_time():
     sim = aodv_sim()
     node = sim.nodes[1]
     log = record_tx(sim)
-    node.csma_send(Response(0, 1, -60), "response", target=0)
+    node.send(Response(0, 1, -60), target=0)
     [(cca_at, _)] = scheduled(sim, "cca")
     sim.engine.run_until(10_000, sim._handle)
     assert tx_ticks(log, 1) == [cca_at + sim.csma_params.cca_ms]
@@ -130,8 +130,8 @@ def test_own_frames_serialize_through_the_idle_gap():
     node = sim.nodes[1]
     node.dst_rssi = -60
     log = record_tx(sim)
-    node.csma_send(Response(0, 1, -60), "response", target=0)
-    node.csma_send(Response(2, 1, -60), "response", target=2)
+    node.send(Response(0, 1, -60), target=0)
+    node.send(Response(2, 1, -60), target=2)
     sim.engine.run_until(20_000, sim._handle)
     ticks = tx_ticks(log, 1)
     assert len(ticks) == 2
@@ -164,7 +164,7 @@ def test_abandoned_response_is_dropped_silently():
     node = sim.nodes[1]
     node.dst_rssi = -60
     log = record_tx(sim)
-    node.csma_send(Response(0, 1, -60), "response", target=0)
+    node.send(Response(0, 1, -60), target=0)
     sim.engine.run_until(100_000, sim._handle)
     assert node._csma_item is None
     assert node.phase == IDLE
@@ -177,7 +177,7 @@ def test_committed_routing_arms_ack_wait_from_the_tx_tick():
     node = sim.nodes[1]
     node.enqueue(PacketMeta(5, 1, 2))
     node._csma_queue.clear()
-    node._csma_item = _CsmaItem(Routing(1, 2, 1, 2, 0), "routing", target=2, uid=5)
+    node._csma_item = _CsmaItem(Routing(1, 2, 1, 2, 0), target=2, uid=5)
     node._cca_sample()  # quiet channel: commits now + cca_ms
     tx_at = sim.engine.now + sim.csma_params.cca_ms
     assert node.phase == AWAIT_ACK
@@ -191,7 +191,7 @@ def test_csma_window_growth_is_capped():
     sim = aodv_sim()
     sim.channel_busy = lambda me: True
     node = sim.nodes[1]
-    node.csma_send(Response(0, 1, -60), "response", target=0)
+    node.send(Response(0, 1, -60), target=0)
     widths = []
     for _ in range(5):
         [(t, ev)] = scheduled(sim, "cca")
@@ -229,7 +229,7 @@ def test_enqueue_starts_handshake_when_idle():
     node.enqueue(PacketMeta(3, 0, 2))
     assert node.phase != IDLE
     assert node._csma_item is not None
-    assert node._csma_item.purpose == "rts"
+    assert node._csma_item.frame.type is MessageType.SRC_BCAST
 
 
 def test_tandem_route_is_seed_independent():

@@ -171,6 +171,10 @@ def test_sweep_without_seeds_is_a_usage_error(tmp_path, capsys, seeds):
         ("--p", "0.9..0.1:0.1"),
         ("--p", "0.5..1.5:0.5"),
         ("--p", "-0.5..0.5:0.5"),
+        ("--p", "0.5..0.5000000002:0.00000000003"),
+        ("--p", "0..1:0.0001"),
+        ("--p", "0.1..0.2:nan"),
+        ("--p", "0.1..0.2:inf"),
     ],
 )
 def test_sweep_bad_range_is_a_usage_error(tmp_path, capsys, flag, value):
@@ -180,6 +184,24 @@ def test_sweep_bad_range_is_a_usage_error(tmp_path, capsys, flag, value):
     )
     assert code == 2
     assert f"error: {flag}: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_p_grids_keep_their_values():
+    assert _parse_p_range("0..1:0.1") == [i / 10 for i in range(11)]
+    assert _parse_p_range("0.5..0.9:0.2") == [0.5, 0.7, 0.9]
+
+
+@pytest.mark.parametrize("topology", ["5", "[1]"])
+def test_node_sweep_with_a_malformed_topology_is_a_scenario_error(
+    tmp_path, capsys, topology
+):
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--nodes", "5..6", "--seeds", "1",
+        "--jobs", "1", "--set", f"topology={topology}", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "error: topology: expected a mapping" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

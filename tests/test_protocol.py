@@ -40,14 +40,14 @@ def test_select_highest_dst_rssi_wins():
     node = br_sim().nodes[0]
     node.dst_rssi = None
     meta = PacketMeta(1, 0, 2)
-    assert node.select_forwarder(meta, [rr(1, -70), rr(3, -60)]) == 3
+    assert node.select_next_hop(meta, [rr(1, -70), rr(3, -60)]) == 3
 
 
 def test_select_tie_breaks_to_lowest_id():
     node = br_sim().nodes[0]
     node.dst_rssi = None
     meta = PacketMeta(1, 0, 2)
-    assert node.select_forwarder(meta, [rr(5, -60), rr(3, -60), rr(4, -60)]) == 3
+    assert node.select_next_hop(meta, [rr(5, -60), rr(3, -60), rr(4, -60)]) == 3
 
 
 def test_select_ignores_link_strength():
@@ -55,24 +55,24 @@ def test_select_ignores_link_strength():
     node.dst_rssi = None
     meta = PacketMeta(1, 0, 2)
     # stronger link must not beat better destination proximity
-    assert node.select_forwarder(meta, [rr(1, -60, -30), rr(3, -59, -95)]) == 3
+    assert node.select_next_hop(meta, [rr(1, -60, -30), rr(3, -59, -95)]) == 3
 
 
 def test_select_shoots_when_own_reading_at_least_best():
     node = br_sim().nodes[0]
     meta = PacketMeta(1, 0, 2)
     node.dst_rssi = -60
-    assert node.select_forwarder(meta, [rr(1, -60), rr(3, -65)]) == node.destination
+    assert node.select_next_hop(meta, [rr(1, -60), rr(3, -65)]) == node.destination
     node.dst_rssi = -59
-    assert node.select_forwarder(meta, [rr(1, -60)]) == node.destination
+    assert node.select_next_hop(meta, [rr(1, -60)]) == node.destination
     node.dst_rssi = -61
-    assert node.select_forwarder(meta, [rr(1, -60)]) == 1
+    assert node.select_next_hop(meta, [rr(1, -60)]) == 1
 
 
 def test_select_shoots_with_no_responses():
     node = br_sim().nodes[0]
     node.dst_rssi = -70
-    assert node.select_forwarder(PacketMeta(1, 0, 2), []) == node.destination
+    assert node.select_next_hop(PacketMeta(1, 0, 2), []) == node.destination
 
 
 def test_select_winner_invariant_under_rssi_offset():
@@ -82,7 +82,7 @@ def test_select_winner_invariant_under_rssi_offset():
     base = [rr(1, -72), rr(3, -64), rr(4, -64), rr(6, -80)]
     for off in (-13, 0, 13):
         shifted = [rr(r.responder, r.dst_rssi + off) for r in base]
-        assert node.select_forwarder(meta, shifted) == 3
+        assert node.select_next_hop(meta, shifted) == 3
 
 
 # ---- loop filter ---------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_all_candidates_filtered_means_shoot():
     node.dst_rssi = None
     node.prior_forwarders[9].update({1, 3})
     meta = PacketMeta(9, 0, 2, hop_count=11)
-    assert node.select_forwarder(meta, [rr(1, -50), rr(3, -40)]) == node.destination
+    assert node.select_next_hop(meta, [rr(1, -50), rr(3, -40)]) == node.destination
 
 
 # ---- routing acceptance ---------------------------------------------------------
@@ -383,6 +383,46 @@ def test_destination_takes_no_epochs():
     dst = sim.nodes[2]
     dst.on_epoch()
     assert dst.listening is False
+
+
+# ---- the shared hop, under both protocols ---------------------------------------------
+
+
+def run_to_on_air(sim, node):
+    """Run until node's pending frame is on the air; return its on-air tick.
+
+    BR transmits at once. The baseline transmits cca_ms after a clear CCA.
+    """
+    if sim.protocol == "br":
+        return sim.engine.now
+    [t] = [t for t, ev in scheduled(sim, "cca") if ev.node == node.id]
+    sim.engine.run_until(t, sim._handle)
+    return t + sim.csma_params.cca_ms
+
+
+@pytest.mark.parametrize("protocol", ["br", "aodv"])
+def test_hop_waits_run_from_the_on_air_tick(protocol):
+    sim = make_sim(LINE3, 2, protocol, channel=SHORT_RANGE, sources=(0,), start_ms=10**9)
+    sim.channel_busy = lambda me: False  # every CCA finds the channel clear
+    node = sim.nodes[0]
+    node.enqueue(PacketMeta(7, 0, 2))  # the baseline starts its handshake here
+    if protocol == "br":
+        node._start_handshake()  # BR would wait for a transmit epoch
+    rts_at = run_to_on_air(sim, node)
+    assert node.phase == AWAIT_RESPONSES
+    [(select_at, ev)] = scheduled(sim, "select")
+    assert select_at == rts_at + sim.br_params.response_wait_ms
+    assert ev.ref == 7
+
+    sim.engine.run_until(select_at, sim._handle)  # the window closes
+    routing_at = run_to_on_air(sim, node)
+    [record] = sim.metrics.routing_log
+    assert (record.time_ms, record.sender, record.uid) == (routing_at, 0, 7)
+    assert node.phase == AWAIT_ACK
+    assert node.current_target == record.receiver
+    [(ack_at, ev)] = scheduled(sim, "ack")
+    assert ack_at == routing_at + sim.br_params.ack_wait_ms
+    assert ev.ref == 7
 
 
 # ---- end-to-end over the real channel ------------------------------------------------
