@@ -36,6 +36,10 @@ class UsageError(SystemExit):
     """A malformed command-line value; `main` reports it with exit status 2."""
 
 
+# most values one --nodes or --p sweep may take; each value adds its own runs
+_MAX_SWEEP_VALUES = 1000
+
+
 def _parse_node_range(text: str) -> range:
     try:
         lo, hi = text.split("..")
@@ -44,10 +48,9 @@ def _parse_node_range(text: str) -> range:
         raise UsageError(f"--nodes: expected A..B, got {text!r}") from None
     if lo < 2 or hi < lo:
         raise UsageError(f"--nodes: need 2 <= A <= B, got {text!r}")
+    if hi - lo + 1 > _MAX_SWEEP_VALUES:
+        raise UsageError(f"--nodes: more than {_MAX_SWEEP_VALUES} sizes, got {text!r}")
     return range(lo, hi + 1)
-
-
-_MAX_P_VALUES = 1000
 
 
 def _parse_p_range(text: str) -> list[float]:
@@ -60,8 +63,8 @@ def _parse_p_range(text: str) -> list[float]:
     if not 0.0 < step < math.inf or not 0.0 <= lo <= hi <= 1.0:
         raise UsageError(f"--p: need 0 <= A <= B <= 1 and 0 < STEP < inf, got {text!r}")
     last = (hi - lo) / step + 1e-9  # the largest i with A + i*STEP <= B, give or take
-    if last >= _MAX_P_VALUES:
-        raise UsageError(f"--p: more than {_MAX_P_VALUES} values, got {text!r}")
+    if last >= _MAX_SWEEP_VALUES:
+        raise UsageError(f"--p: more than {_MAX_SWEEP_VALUES} values, got {text!r}")
     values = [min(round(lo + i * step, 10), 1.0) for i in range(int(last) + 1)]
     if len({f"{v:g}" for v in values}) < len(values):
         # each value names its output file, sweep_p{value:g}.csv

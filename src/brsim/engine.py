@@ -35,6 +35,7 @@ from typing import Callable
 from .frame import Frame
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK53 = (1 << 53) - 1
 
 
 def _splitmix64(z: int) -> int:
@@ -80,13 +81,18 @@ class RngStream:
                 return v % bound
 
     def bernoulli(self, p: float) -> bool:
-        """True with probability p on a 2**53 grid; exact at p=0 and p=1."""
+        """True with probability p on a 2**53 grid; exact at p=0 and p=1.
+
+        One draw, the same one as randbelow(2**53) < round(p * 2**53):
+        2**64 is a multiple of 2**53, so that rejection loop never rejects
+        and its result is the low 53 bits of the draw.
+        """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability out of range: {p}")
-        return self.randbelow(1 << 53) < round(p * (1 << 53))
+        return self.next_u64() & _MASK53 < round(p * (1 << 53))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrameArrival:
     """A frame reaching rx's antenna; adjudication happens at processing time.
 
@@ -100,7 +106,7 @@ class FrameArrival:
     uid: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimerFire:
     node: int
     tag: str
@@ -108,12 +114,12 @@ class TimerFire:
     token: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecisionEpoch:
     node: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BeaconTick:
     node: int
 

@@ -208,7 +208,11 @@ def read_csv(path: str) -> list[Aggregate]:
         header = next(reader)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected summary header: {header!r}")
-        for rec in reader:
+        for row, rec in enumerate(reader, start=1):
+            if len(rec) != len(CSV_HEADER):
+                raise ValueError(
+                    f"summary data row {row}: expected {len(CSV_HEADER)} cells, got {len(rec)}"
+                )
             rows.append(
                 Aggregate(
                     rec[0],

@@ -9,7 +9,9 @@ else is decided by the channel model against the concurrent-transmitter set.
 Arrivals are only scheduled to stations that could hear the frame on a quiet
 channel (interference can only remove receptions, never add them), which
 keeps event counts proportional to real traffic. Those stations come from the
-link table's precomputed hearer lists, in ascending id.
+link table's precomputed hearer lists, in ascending id. An untraced run also
+leaves out beacon arrivals at stations that already hold a destination
+reading; see Simulation.run.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class Simulation:
         self._delivered: dict[int, tuple[int, int]] = {}  # uid -> (hops, time)
         self._dropped: dict[int, tuple[str, int]] = {}  # uid -> (reason, time)
         # quiescence: traffic arrivals still due within the horizon, packets
-        # held in node queues, and whether run() may stop once both are zero
+        # held in node queues, and whether this is an untraced run(), which
+        # stops once both are zero and skips repeat beacon arrivals
         self._traffic_due = 0
         self._held = 0
         self._stop_when_idle = False
@@ -116,12 +119,16 @@ class Simulation:
             if self.link.can_hear(tx, only_to):
                 self.engine.schedule(at + 1, FrameArrival(only_to, frame, tx, uid))
             return
-        hearers = (
-            self.link.beacon_hearers
-            if frame.type is MessageType.DST_BCAST
-            else self.link.hearers
-        )
-        for rx in hearers[tx]:
+        if frame.type is not MessageType.DST_BCAST:
+            hearers = self.link.hearers[tx]
+        elif self._stop_when_idle:
+            # the channel is static, so a station that holds a reading would
+            # only be told the same rssi_of(tx, rx) again
+            nodes = self.nodes
+            hearers = [rx for rx in self.link.beacon_hearers[tx] if nodes[rx].dst_rssi is None]
+        else:
+            hearers = self.link.beacon_hearers[tx]
+        for rx in hearers:
             self.engine.schedule(at + 1, FrameArrival(rx, frame, tx, uid))
 
     def channel_busy(self, me: int) -> bool:
@@ -144,28 +151,7 @@ class Simulation:
     # ---- event dispatch -----------------------------------------------------
 
     def _handle(self, ev: Event) -> None:
-        if isinstance(ev, FrameArrival):
-            if self._arrival_ok(ev):
-                self.nodes[ev.rx].on_frame(
-                    ev.frame, ev.tx, ev.uid, self.link.rssi_of(ev.tx, ev.rx)
-                )
-        elif isinstance(ev, TimerFire):
-            if ev.tag == "traffic":
-                self._generate_packet(ev.node)
-            else:
-                self.nodes[ev.node].on_timer(ev.tag, ev.ref, ev.token)
-        elif isinstance(ev, DecisionEpoch):
-            self.nodes[ev.node].on_epoch()
-            self.engine.schedule(
-                self.engine.now + self.br_params.epoch_ms, DecisionEpoch(ev.node)
-            )
-        elif isinstance(ev, BeaconTick):
-            self.transmit(ev.node, DstBcast(ev.node))
-            self.engine.schedule(
-                self.engine.now + self.br_params.bcast_ms, BeaconTick(ev.node)
-            )
-        else:  # pragma: no cover - new event types must be wired here
-            raise TypeError(f"unhandled event: {ev!r}")
+        _DISPATCH[type(ev)](self, ev)
 
     def _generate_packet(self, src: int) -> None:
         self._traffic_due -= 1
@@ -212,13 +198,19 @@ class Simulation:
     # ---- lifecycle ---------------------------------------------------------
 
     def run(self) -> RunMetrics:
-        """Run to the horizon, or stop early at quiescence when untraced.
+        """Run to the horizon; when untraced, skip events that change nothing.
 
-        Once every traffic arrival due within the horizon has fired and no
-        node holds a packet, no later event can change generated, outcomes,
-        hops or routing_log: only idle epochs and beacons remain. An
-        untraced run stops there; a traced run keeps every event, because
-        its trace records them.
+        An untraced run leaves out two kinds of event that cannot change
+        generated, outcomes, hops or routing_log. A traced run keeps every
+        event, because its trace records them.
+
+        - Quiescence: once every traffic arrival due within the horizon has
+          fired and no node holds a packet, only idle epochs and beacons
+          remain, so the run stops there.
+        - Repeat beacon arrivals: the channel is static, so a station that
+          already holds a destination reading would store the same value
+          again. The beacon still occupies the channel, so collisions and
+          carrier sense are unchanged.
 
         The nodes stay readable in `nodes` afterwards, but no longer point
         back at the simulation, so a finished run is freed by reference
@@ -251,6 +243,40 @@ class Simulation:
                     uid, src, False, None, "horizon", self.scenario.horizon_ms
                 )
             self.metrics.outcomes[uid] = outcome
+
+
+# One handler per event type, as plain functions: a table of bound methods
+# held on the instance would tie every Simulation into a reference cycle.
+
+
+def _on_arrival(sim: Simulation, ev: FrameArrival) -> None:
+    if sim._arrival_ok(ev):
+        sim.nodes[ev.rx].on_frame(ev.frame, ev.tx, ev.uid, sim.link.rssi_of(ev.tx, ev.rx))
+
+
+def _on_timer(sim: Simulation, ev: TimerFire) -> None:
+    if ev.tag == "traffic":
+        sim._generate_packet(ev.node)
+    else:
+        sim.nodes[ev.node].on_timer(ev.tag, ev.ref, ev.token)
+
+
+def _on_epoch(sim: Simulation, ev: DecisionEpoch) -> None:
+    sim.nodes[ev.node].on_epoch()
+    sim.engine.schedule(sim.engine.now + sim.br_params.epoch_ms, DecisionEpoch(ev.node))
+
+
+def _on_beacon(sim: Simulation, ev: BeaconTick) -> None:
+    sim.transmit(ev.node, DstBcast(ev.node))
+    sim.engine.schedule(sim.engine.now + sim.br_params.bcast_ms, BeaconTick(ev.node))
+
+
+_DISPATCH = {
+    FrameArrival: _on_arrival,
+    TimerFire: _on_timer,
+    DecisionEpoch: _on_epoch,
+    BeaconTick: _on_beacon,
+}
 
 
 def run_scenario(scenario, protocol: str, seed: int, trace: bool = False) -> RunMetrics:

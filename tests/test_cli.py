@@ -23,6 +23,7 @@ def run_cli(*argv):
 def test_node_range_parsing():
     assert list(_parse_node_range("5..8")) == [5, 6, 7, 8]
     assert list(_parse_node_range("3..3")) == [3]
+    assert len(_parse_node_range("2..1001")) == 1000
     for bad in ("5", "8..5", "1..4", "a..b"):
         with pytest.raises(SystemExit):
             _parse_node_range(bad)
@@ -168,6 +169,8 @@ def test_sweep_without_seeds_is_a_usage_error(tmp_path, capsys, seeds):
     [
         ("--nodes", "1..3"),
         ("--nodes", "x"),
+        ("--nodes", "2..1002"),
+        ("--nodes", "2..100000000"),
         ("--p", "0.9..0.1:0.1"),
         ("--p", "0.5..1.5:0.5"),
         ("--p", "-0.5..0.5:0.5"),

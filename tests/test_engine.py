@@ -126,6 +126,21 @@ def test_bernoulli_half_within_four_sigma():
     assert abs(hits - n / 2) < 4 * math.sqrt(n * 0.25)
 
 
+@pytest.mark.parametrize("seed", [1, 7, derive_stream_seed(2026, 3), derive_stream_seed(0, 12)])
+def test_bernoulli_is_the_rejection_sampled_coin_draw_for_draw(seed):
+    # the coin once drew randbelow(2**53); 2**64 is a multiple of 2**53, so
+    # that loop never rejects and one masked draw must give the same coins
+    def old_coin(stream, p):
+        return stream.randbelow(1 << 53) < round(p * (1 << 53))
+
+    for p in (0.0, 1e-9, 0.5, 0.73, 1 - 1e-9, 1.0):
+        new, old = RngStream(seed), RngStream(seed)
+        assert [new.bernoulli(p) for _ in range(10_000)] == [
+            old_coin(old, p) for _ in range(10_000)
+        ]
+        assert new.next_u64() == old.next_u64()
+
+
 def test_node_streams_do_not_perturb_each_other():
     a = Engine(4)
     alone = [a.draw_uniform(0, 1000) for _ in range(5)]

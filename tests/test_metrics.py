@@ -199,6 +199,14 @@ def test_csv_rejects_foreign_header(tmp_path):
         read_csv(str(path))
 
 
+@pytest.mark.parametrize("row", ["br,5", "br,5,100,,,,,0.0,extra"])
+def test_csv_rejects_a_row_of_the_wrong_length(tmp_path, row):
+    path = tmp_path / "short.csv"
+    path.write_text(",".join(CSV_HEADER) + "\naodv,5,100,,,,,1.0\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"data row 2: expected {len(CSV_HEADER)} cells"):
+        read_csv(str(path))
+
+
 def test_empty_aggregate_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv([], str(path))

@@ -1,13 +1,16 @@
 """World-model behaviour: tick-atomic radio, adjudication, determinism."""
 
 import gc
+import typing
 
 import pytest
+from test_acceptance import SWEEP_OVERRIDES
 
 from brsim.channel import ChannelParams
-from brsim.frame import DstBcast, Routing
-from brsim.scenario import build_scenario
-from brsim.simulation import JobError, Simulation, run_many, run_scenario
+from brsim.engine import Event, FrameArrival
+from brsim.frame import DstBcast, MessageType, Routing
+from brsim.scenario import build_scenario, load_scenario
+from brsim.simulation import _DISPATCH, JobError, Simulation, run_many, run_scenario
 
 from conftest import make_scenario, make_sim
 
@@ -408,6 +411,79 @@ def test_traffic_due_after_the_horizon_does_not_hold_the_run_open():
     assert quick.metrics.generated == 0
     assert quick.engine.processed == 0
     assert full.engine.processed > 0
+
+
+# ---- repeat beacon arrivals ------------------------------------------------------
+
+BEACON_SKIP_SCENARIOS = {
+    "motion_testbed": lambda: load_scenario("motion_testbed"),
+    "grid_6x6": lambda: build_scenario(
+        {
+            "name": "grid_6x6",
+            "horizon_s": 300,
+            "topology": {
+                "generator": "grid",
+                "rows": 6,
+                "cols": 6,
+                "floor_width_m": 10.0,
+                "floor_length_m": 10.0,
+            },
+            "channel": {"tx_range_m": 6.0},
+            "traffic": {"sources": "all"},
+        }
+    ),
+    "tandem_n15": lambda: load_scenario(
+        "tandem12", overrides=["topology.count=15", *SWEEP_OVERRIDES]
+    ),
+    # beacons reach well past the 4 m data range, so beacon hearers and data
+    # hearers differ, and every station is a source
+    "short_range_tandem": lambda: load_scenario(
+        "tandem12",
+        overrides=[
+            "channel.tx_range_m=4",
+            "traffic.sources=all",
+            "traffic.packets_per_source=1",
+            "horizon_s=300",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", ["br", "aodv"])
+@pytest.mark.parametrize("name", sorted(BEACON_SKIP_SCENARIOS))
+def test_untraced_runs_without_repeat_beacons_behave_as_traced_runs(name, protocol):
+    scenario = BEACON_SKIP_SCENARIOS[name]()
+    for seed in range(13):
+        quick, full = _untraced_and_traced(scenario, protocol, seed)
+        _same_behaviour(quick, full)
+
+
+def _beacon_arrivals(scenario, trace):
+    """Run once; for each beacon arrival scheduled, whether rx held a reading."""
+    sim = Simulation(scenario, "br", 0, trace=trace)
+    schedule = sim.engine.schedule
+    held = []
+
+    def recording_schedule(time, ev):
+        if isinstance(ev, FrameArrival) and ev.frame.type is MessageType.DST_BCAST:
+            held.append(sim.nodes[ev.rx].dst_rssi is not None)
+        schedule(time, ev)
+
+    sim.engine.schedule = recording_schedule
+    sim.run()
+    return held
+
+
+def test_untraced_runs_send_beacons_only_to_stations_without_a_reading():
+    scenario = BEACON_SKIP_SCENARIOS["tandem_n15"]()
+    untraced = _beacon_arrivals(scenario, trace=False)
+    assert untraced and not any(untraced)
+    # a traced run keeps the repeat arrivals, because its trace records them
+    assert any(_beacon_arrivals(scenario, trace=True))
+
+
+def test_every_event_type_has_a_handler():
+    assert set(_DISPATCH) == set(typing.get_args(Event))
 
 
 # ---- lifetime ---------------------------------------------------------------------
