@@ -24,14 +24,13 @@ from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
 
 @dataclass(frozen=True)
 class CsmaParams:
-    """Channel-access and forwarding constants; times in milliseconds."""
+    """Channel-access constants; times in milliseconds."""
 
     min_backoff_exponent: int = 3
     max_backoff_exponent: int = 5
     max_csma_backoffs: int = 4
     cca_ms: int = 8
     slot_ms: int = 20
-    next_hop_metric: str = "link"
 
     def __post_init__(self) -> None:
         if not 0 <= self.min_backoff_exponent <= self.max_backoff_exponent:
@@ -40,10 +39,6 @@ class CsmaParams:
             raise ValueError("max_csma_backoffs must be non-negative")
         if self.cca_ms < 1 or self.slot_ms < 1:
             raise ValueError("cca_ms and slot_ms must be at least 1 ms")
-        if self.next_hop_metric not in ("link", "dst"):
-            raise ValueError(
-                f"next_hop_metric must be 'link' or 'dst': {self.next_hop_metric!r}"
-            )
 
 
 @dataclass
@@ -131,18 +126,14 @@ class AodvNode(RadioNode):
 
         Progress is measured by the responder's stored destination RSSI
         against the sender's own. Among progressing responders the strongest
-        link wins ("link", the default); next_hop_metric = "dst" prefers the
-        strongest destination RSSI instead. Without any progressing responder
+        link wins, ties to the lowest id. Without any progressing responder
         the packet goes straight at the destination.
         """
         own = self.dst_rssi if self.dst_rssi is not None else -(10**9)
         candidates = [r for r in responses if r.dst_rssi > own]
         if not candidates:
             return self.destination
-        if self.csma.next_hop_metric == "dst":
-            best = max(candidates, key=lambda r: (r.dst_rssi, -r.responder))
-        else:
-            best = max(candidates, key=lambda r: (r.link_rssi, -r.responder))
+        best = max(candidates, key=lambda r: (r.link_rssi, -r.responder))
         return best.responder
 
     # ---- queue hook -----------------------------------------------------------

@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 from .metrics import RunMetrics, summarize, write_csv, write_hop_trace
 from .scenario import (
@@ -29,7 +30,7 @@ from .scenario import (
     build_scenario,
     load_raw,
 )
-from .simulation import JobError, run_many, run_scenario
+from .simulation import run_many
 
 
 class UsageError(SystemExit):
@@ -77,13 +78,6 @@ def _protocols(scenario: Scenario, flag: str | None) -> list[str]:
     return ["br", "aodv"] if choice == "both" else [choice]
 
 
-def _write_trace(run: RunMetrics, path: str) -> None:
-    assert run.trace is not None
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in run.trace:
-            fh.write(line + "\n")
-
-
 def _describe(run: RunMetrics) -> str:
     parts = [
         f"{run.protocol}: generated={run.generated}",
@@ -102,28 +96,46 @@ def _describe(run: RunMetrics) -> str:
     return " ".join(parts)
 
 
+def _each_run(
+    jobs: list[tuple], tags: list[str], out: str, workers: int = 1
+) -> Iterator[tuple[str, RunMetrics]]:
+    """Yield (file stem, run) for each job in job order, as its run arrives.
+
+    A traced run's trace file is written and its trace dropped before the run
+    is yielded, so the caller never holds a trace. A run that raises is
+    reported once on stderr and ends the stream early: a caller that got
+    fewer runs than jobs exits with status 1.
+    """
+    runs = run_many(jobs, max_workers=workers)
+    for (scenario, protocol, seed, trace), tag in zip(jobs, tags):
+        try:
+            run = next(runs)
+        except Exception as exc:
+            where = (f"scenario={scenario.name}", tag, f"protocol={protocol}", f"seed={seed}")
+            print(f"error: {' '.join(filter(None, where))}: {exc}", file=sys.stderr)
+            return
+        stem = "_".join(filter(None, (scenario.name, protocol, tag, f"seed{seed}")))
+        if trace:
+            with open(os.path.join(out, f"{stem}.trace"), "w", encoding="utf-8") as fh:
+                for line in run.trace:
+                    fh.write(line + "\n")
+            run.trace = None
+        yield stem, run
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     raw, default_name = load_raw(args.scenario)
     raw = apply_overrides(raw, args.set)
     scenario = build_scenario(raw, default_name)
+    jobs = [(scenario, p, args.seed, args.trace) for p in _protocols(scenario, args.protocol)]
     os.makedirs(args.out, exist_ok=True)
     runs = []
-    for protocol in _protocols(scenario, args.protocol):
-        try:
-            run = run_scenario(scenario, protocol, args.seed, trace=args.trace)
-        except Exception as exc:
-            print(
-                f"error: scenario={scenario.name} protocol={protocol}"
-                f" seed={args.seed}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        runs.append(run)
-        stem = f"{scenario.name}_{protocol}_seed{args.seed}"
+    for stem, run in _each_run(jobs, [""] * len(jobs), args.out):
         write_hop_trace(run, os.path.join(args.out, f"{stem}_hops.tsv"))
-        if args.trace:
-            _write_trace(run, os.path.join(args.out, f"{stem}.trace"))
         print(_describe(run))
+        runs.append(run)
+    if len(runs) < len(jobs):
+        return 1
     write_csv(summarize(runs), os.path.join(args.out, "summary.csv"))
     return 0
 
@@ -131,6 +143,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    cores = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cores:
+        raise UsageError(f"--jobs: need 1 <= J <= {cores} (the CPU count), got {args.jobs}")
     raw, default_name = load_raw(args.scenario)
     raw = apply_overrides(raw, args.set)
     build_scenario(raw, default_name)  # validate before reading its sections
@@ -144,7 +159,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         variable = "br.relay_probability"
 
     jobs = []
-    labels = []
+    tags = []
     for tag, value in values:
         scenario = build_scenario(
             apply_overrides(raw, [f"{variable}={value}"]), default_name
@@ -152,24 +167,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for protocol in _protocols(scenario, args.protocol):
             for seed in range(args.seeds):
                 jobs.append((scenario, protocol, seed, args.trace))
-                labels.append((scenario.name, f"{tag}{value:g}", protocol, seed))
+                tags.append(f"{tag}{value:g}")
 
     os.makedirs(args.out, exist_ok=True)
-    try:
-        runs = run_many(jobs, max_workers=args.jobs)
-    except JobError as exc:
-        name, tag, protocol, seed = labels[exc.index]
-        print(
-            f"error: scenario={name} {tag} protocol={protocol} seed={seed}: {exc}",
-            file=sys.stderr,
-        )
+    runs = [run for _, run in _each_run(jobs, tags, args.out, args.jobs)]
+    if len(runs) < len(jobs):
         return 1
-
-    if args.trace:
-        for (name, tag, protocol, seed), run in zip(labels, runs):
-            _write_trace(
-                run, os.path.join(args.out, f"{name}_{protocol}_{tag}_seed{seed}.trace")
-            )
 
     if args.nodes is not None:
         rows = summarize(runs)

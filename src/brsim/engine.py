@@ -168,20 +168,19 @@ class Engine:
 
         Returns the number processed. On return, now == horizon.
         """
-        count = 0
+        start = self.processed
         while self._heap and self._heap[0][0] <= horizon:
             time, _, event = heapq.heappop(self._heap)
             assert time >= self.now, "event popped out of order"
             self.now = time
             self.processed += 1
-            count += 1
             if self.trace is not None:
                 kind, node, detail = describe_event(event)
                 self.trace.append(f"{time}\t{kind}\t{node}\t{detail}")
             if handler is not None:
                 handler(event)
         self.now = horizon
-        return count
+        return self.processed - start
 
     def stop(self) -> None:
         """Drop every pending event, so that run_until returns early.

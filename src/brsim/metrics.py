@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import statistics
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 
 class EmptyInputError(ValueError):
@@ -140,13 +142,13 @@ def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
     return mean, sd
 
 
-def summarize(runs: list[RunMetrics]) -> list[Aggregate]:
+def summarize(runs: Iterable[RunMetrics]) -> list[Aggregate]:
     """Aggregate per (protocol, node_count): mean and sample SD of run means."""
-    if not runs:
-        raise EmptyInputError("summarize() needs at least one run")
     groups: dict[tuple[str, int], list[RunMetrics]] = {}
     for run in runs:
         groups.setdefault((run.protocol, run.node_count), []).append(run)
+    if not groups:
+        raise EmptyInputError("summarize() needs at least one run")
     rows = []
     for (protocol, node_count), members in sorted(groups.items()):
         hop_means = [m for m in (r.mean_hops() for r in members) if m is not None]
@@ -175,6 +177,17 @@ CSV_HEADER = [f.name for f in fields(Aggregate)]
 _HOP_COLUMNS = [f.name for f in fields(HopRecord)]
 
 
+def _optional_float(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+# one parser per summary column, from its Aggregate field type
+_HINTS = get_type_hints(Aggregate)
+_CSV_PARSERS = [
+    _optional_float if _HINTS[name] == float | None else _HINTS[name] for name in CSV_HEADER
+]
+
+
 def _cell(value) -> str:
     """One output cell: six decimal digits for floats, 0/1 for flags, blank for None."""
     if value is None:
@@ -198,10 +211,6 @@ def write_csv(aggregates: list[Aggregate], path: str) -> None:
 
 def read_csv(path: str) -> list[Aggregate]:
     """Parse a summary CSV written by write_csv."""
-
-    def opt(cell: str) -> float | None:
-        return None if cell == "" else float(cell)
-
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -213,18 +222,7 @@ def read_csv(path: str) -> list[Aggregate]:
                 raise ValueError(
                     f"summary data row {row}: expected {len(CSV_HEADER)} cells, got {len(rec)}"
                 )
-            rows.append(
-                Aggregate(
-                    rec[0],
-                    int(rec[1]),
-                    int(rec[2]),
-                    opt(rec[3]),
-                    opt(rec[4]),
-                    opt(rec[5]),
-                    opt(rec[6]),
-                    float(rec[7]),
-                )
-            )
+            rows.append(Aggregate(*(parse(cell) for parse, cell in zip(_CSV_PARSERS, rec))))
     return rows
 
 

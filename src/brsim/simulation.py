@@ -16,6 +16,8 @@ reading; see Simulation.run.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .baseline import AodvNode
 from .br_node import BrNode
 from .channel import LinkCache
@@ -284,37 +286,21 @@ def run_scenario(scenario, protocol: str, seed: int, trace: bool = False) -> Run
     return Simulation(scenario, protocol, seed, trace=trace).run()
 
 
-class JobError(Exception):
-    """Job number `index` of a run_many call raised; str() is its message."""
+def run_many(jobs: list[tuple], max_workers: int = 1) -> Iterator[RunMetrics]:
+    """Run (scenario, protocol, seed, trace) jobs, yielding results in job order.
 
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(index, message)
-        self.index = index
-
-    def __str__(self) -> str:
-        return self.args[1]
-
-
-def _run_job(indexed_job: tuple[int, tuple]) -> RunMetrics:
-    index, (scenario, protocol, seed, trace) = indexed_job
-    try:
-        return run_scenario(scenario, protocol, seed, trace=trace)
-    except Exception as exc:
-        raise JobError(index, str(exc)) from exc
-
-
-def run_many(jobs: list[tuple], max_workers: int = 1) -> list[RunMetrics]:
-    """Run (scenario, protocol, seed, trace) jobs, optionally across processes.
-
-    Results come back in job order and are identical regardless of worker
-    count: every run is seeded independently and shares no mutable state.
-    A failed run raises JobError naming the job's position in `jobs`.
+    Results are identical regardless of worker count: every run is seeded
+    independently and shares no mutable state. Serially, a job runs only when
+    its result is asked for; a pool starts at most one worker per job. A
+    failed run raises its own exception, so a caller that counts the results
+    it has taken knows which job failed.
     """
-    indexed = list(enumerate(jobs))
-    if max_workers <= 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in indexed]
+    workers = min(max_workers, len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            yield run_scenario(*job)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(jobs) // (max_workers * 4))
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_run_job, indexed, chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run_scenario, *zip(*jobs), chunksize=1)

@@ -380,9 +380,9 @@ def test_criterion_8_determinism():
         for protocol in ("br", "aodv")
         for seed in range(3)
     ]
-    serial = run_many(jobs, max_workers=1)
-    parallel = run_many(jobs, max_workers=2)
-    pooled_ok = all(
+    serial = list(run_many(jobs, max_workers=1))
+    parallel = list(run_many(jobs, max_workers=2))
+    pooled_ok = len(serial) == len(parallel) == len(jobs) and all(
         a.trace == b.trace and a.outcomes == b.outcomes
         for a, b in zip(serial, parallel)
     )

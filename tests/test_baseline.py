@@ -52,15 +52,6 @@ def test_strongest_link_wins_among_progressing():
     assert node.select_next_hop(meta, [rr(1, -69, -40), rr(3, -50, -80)]) == 1
 
 
-def test_dst_metric_flag_prefers_destination_rssi():
-    node = aodv_sim(csma=CsmaParams(next_hop_metric="dst")).nodes[0]
-    node.dst_rssi = -70
-    meta = PacketMeta(1, 0, 2)
-    # the same contest as above, decided the other way by the flag
-    assert node.select_next_hop(meta, [rr(1, -69, -40), rr(3, -50, -80)]) == 3
-    assert node.select_next_hop(meta, [rr(4, -60, -90), rr(3, -60, -91)]) == 3
-
-
 def test_link_tie_breaks_to_lowest_id():
     node = aodv_sim().nodes[0]
     node.dst_rssi = -70

@@ -1,10 +1,13 @@
 """Command-line surface: run and sweep subcommands, outputs, exit codes."""
 
+import os
+
 import pytest
 
+import brsim.cli
 import brsim.simulation
 from brsim.cli import _parse_node_range, _parse_p_range, main
-from brsim.metrics import CSV_HEADER, read_csv
+from brsim.metrics import CSV_HEADER, read_csv, summarize
 
 FAST = [
     "--set", "horizon_ms=120000",
@@ -215,6 +218,40 @@ def test_sweep_trace_files_named_by_point(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "tandem12_br_n5_seed0.trace").exists()
+
+
+def test_traced_sweep_summarizes_runs_whose_traces_are_written_and_dropped(
+    tmp_path, monkeypatch
+):
+    summarized = []
+
+    def recording(runs):
+        runs = list(runs)
+        summarized.extend(runs)
+        return summarize(runs)
+
+    monkeypatch.setattr(brsim.cli, "summarize", recording)
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--nodes", "5..5", "--seeds", "2",
+        "--jobs", "1", "--protocol", "br", "--trace", "--out", str(tmp_path), *FAST,
+    )
+    assert code == 0
+    assert [r.seed for r in summarized] == [0, 1]
+    assert all(r.trace is None for r in summarized)
+    for r in summarized:
+        assert (tmp_path / f"tandem12_br_n5_seed{r.seed}.trace").stat().st_size > 0
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1], ids=["zero", "above_cpu_count"])
+def test_sweep_jobs_outside_one_to_cpu_count_is_a_usage_error(tmp_path, capsys, jobs):
+    # two jobs at most, so a broken bound still cannot start more processes
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--nodes", "5..5", "--seeds", "1",
+        "--jobs", str(jobs), "--out", str(tmp_path / "out"), *FAST,
+    )
+    assert code == 2
+    assert "error: --jobs: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_error_names_the_run_that_failed(tmp_path, capsys, monkeypatch):

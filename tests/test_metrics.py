@@ -101,6 +101,13 @@ def test_route_reconstruction_skips_failures_and_other_packets():
 def test_summarize_requires_input():
     with pytest.raises(EmptyInputError):
         summarize([])
+    with pytest.raises(EmptyInputError):
+        summarize(iter([]))
+
+
+def test_summarize_takes_any_iterable_of_runs():
+    runs = [run_with([delivered(0, 3)], seed=0), run_with([delivered(0, 5)], seed=1)]
+    assert summarize(r for r in runs) == summarize(runs)
 
 
 def test_summarize_means_of_run_means():

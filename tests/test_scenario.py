@@ -138,15 +138,8 @@ def test_minimal_document_defaults():
     assert sc.horizon_ms == 10_000
     assert sc.br.relay_probability == pytest.approx(0.73)
     assert sc.csma.min_backoff_exponent == 3
-    assert sc.csma.next_hop_metric == "link"
     assert sc.channel.noise_floor_dbm == pytest.approx(-95.0)
     assert sc.traffic.packets_per_source == 1
-
-
-def test_next_hop_metric_accepts_dst():
-    raw = minimal()
-    raw["csma"] = {"next_hop_metric": "dst"}
-    assert build_scenario(raw).csma.next_hop_metric == "dst"
 
 
 def test_walls_merge_into_topology():
@@ -195,7 +188,7 @@ def test_sources_all_excludes_destination():
         (lambda r: r.update(br={"slot_ms": True}), "expected an integer"),
         (lambda r: r.update(br={"slot_ms": 2.5}), "expected an integer"),
         (lambda r: r.update(csma={"max_csma_backoffs": -1}), "csma"),
-        (lambda r: r.update(csma={"next_hop_metric": "hops"}), "next_hop_metric"),
+        (lambda r: r.update(csma={"next_hop_metric": "link"}), "csma.next_hop_metric: unknown field"),
         (lambda r: r.update(traffic={"sources": []}), "sources"),
         (lambda r: r.update(traffic={"sources": [9]}), "unknown node"),
         (lambda r: r.update(traffic={"sources": [1]}), "cannot source"),

@@ -1,16 +1,18 @@
 """World-model behaviour: tick-atomic radio, adjudication, determinism."""
 
 import gc
+import multiprocessing.process
 import typing
 
 import pytest
 from test_acceptance import SWEEP_OVERRIDES
 
+from brsim import simulation
 from brsim.channel import ChannelParams
 from brsim.engine import Event, FrameArrival
 from brsim.frame import DstBcast, MessageType, Routing
 from brsim.scenario import build_scenario, load_scenario
-from brsim.simulation import _DISPATCH, JobError, Simulation, run_many, run_scenario
+from brsim.simulation import _DISPATCH, Simulation, run_many, run_scenario
 
 from conftest import make_scenario, make_sim
 
@@ -283,23 +285,56 @@ def test_identical_seed_identical_trace(protocol):
 def test_run_many_preserves_job_order_and_results():
     scenario = chain_scenario()
     jobs = [(scenario, p, s, True) for p in ("br", "aodv") for s in range(3)]
-    serial = run_many(jobs, max_workers=1)
+    serial = list(run_many(jobs, max_workers=1))
     assert [(r.protocol, r.seed) for r in serial] == [
         ("br", 0), ("br", 1), ("br", 2), ("aodv", 0), ("aodv", 1), ("aodv", 2)
     ]
-    parallel = run_many(jobs, max_workers=2)
+    parallel = list(run_many(jobs, max_workers=2))
+    assert len(parallel) == len(serial)
     for a, b in zip(serial, parallel):
         assert a.trace == b.trace
         assert a.outcomes == b.outcomes
 
 
-def test_run_many_names_the_failed_job():
+def test_serial_run_many_starts_each_job_when_its_result_is_taken(monkeypatch):
+    started = []
+
+    def recording(scenario, protocol, seed, trace=False):
+        started.append(seed)
+        return run_scenario(scenario, protocol, seed, trace=trace)
+
+    monkeypatch.setattr(simulation, "run_scenario", recording)
+    scenario = chain_scenario()
+    runs = run_many([(scenario, "br", s, False) for s in range(3)], max_workers=1)
+    assert started == []
+    assert next(runs).seed == 0
+    assert started == [0]
+
+
+def test_run_many_yields_the_runs_before_a_failed_job_then_its_error():
     scenario = chain_scenario()
     jobs = [(scenario, "br", 0, False), (scenario, "br", 1, False), (scenario, "olsr", 2, False)]
     for workers in (1, 2):
-        with pytest.raises(JobError, match="unknown protocol") as info:
-            run_many(jobs, max_workers=workers)
-        assert info.value.index == 2
+        runs = run_many(jobs, max_workers=workers)
+        assert [next(runs).seed, next(runs).seed] == [0, 1]
+        with pytest.raises(ValueError, match="unknown protocol"):
+            next(runs)
+        assert list(runs) == []
+
+
+def test_run_many_starts_no_more_workers_than_jobs(monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    scenario = chain_scenario()
+    runs = list(run_many([(scenario, "br", s, False) for s in range(2)], max_workers=6))
+    assert [r.seed for r in runs] == [0, 1]
+    assert len(started) == 2
 
 
 # ---- quiescence stop ------------------------------------------------------------
