@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
+from itertools import groupby
 
 from .metrics import RunMetrics, summarize, write_csv, write_hop_trace
 from .scenario import (
@@ -96,15 +97,18 @@ def _describe(run: RunMetrics) -> str:
     return " ".join(parts)
 
 
+class RunError(Exception):
+    """A run that raised; the message names the run. `main` exits 1 on it."""
+
+
 def _each_run(
     jobs: list[tuple], tags: list[str], out: str, workers: int = 1
-) -> Iterator[tuple[str, RunMetrics]]:
-    """Yield (file stem, run) for each job in job order, as its run arrives.
+) -> Iterator[tuple[str, str, RunMetrics]]:
+    """Yield (tag, file stem, run) for each job in job order, as its run arrives.
 
     A traced run's trace file is written and its trace dropped before the run
-    is yielded, so the caller never holds a trace. A run that raises is
-    reported once on stderr and ends the stream early: a caller that got
-    fewer runs than jobs exits with status 1.
+    is yielded, so the caller never holds a trace. A run that raises ends the
+    stream with a RunError naming it.
     """
     runs = run_many(jobs, max_workers=workers)
     for (scenario, protocol, seed, trace), tag in zip(jobs, tags):
@@ -112,15 +116,14 @@ def _each_run(
             run = next(runs)
         except Exception as exc:
             where = (f"scenario={scenario.name}", tag, f"protocol={protocol}", f"seed={seed}")
-            print(f"error: {' '.join(filter(None, where))}: {exc}", file=sys.stderr)
-            return
+            raise RunError(f"{' '.join(filter(None, where))}: {exc}") from exc
         stem = "_".join(filter(None, (scenario.name, protocol, tag, f"seed{seed}")))
         if trace:
             with open(os.path.join(out, f"{stem}.trace"), "w", encoding="utf-8") as fh:
                 for line in run.trace:
                     fh.write(line + "\n")
             run.trace = None
-        yield stem, run
+        yield tag, stem, run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -130,12 +133,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     jobs = [(scenario, p, args.seed, args.trace) for p in _protocols(scenario, args.protocol)]
     os.makedirs(args.out, exist_ok=True)
     runs = []
-    for stem, run in _each_run(jobs, [""] * len(jobs), args.out):
+    for _, stem, run in _each_run(jobs, [""] * len(jobs), args.out):
         write_hop_trace(run, os.path.join(args.out, f"{stem}_hops.tsv"))
         print(_describe(run))
         runs.append(run)
-    if len(runs) < len(jobs):
-        return 1
     write_csv(summarize(runs), os.path.join(args.out, "summary.csv"))
     return 0
 
@@ -158,33 +159,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         values = [("p", p) for p in _parse_p_range(args.p)]
         variable = "br.relay_probability"
 
-    jobs = []
-    tags = []
-    for tag, value in values:
-        scenario = build_scenario(
-            apply_overrides(raw, [f"{variable}={value}"]), default_name
+    jobs, tags, sheet_of = [], [], {}
+    for letter, value in values:
+        tag = f"{letter}{value:g}"
+        scenario = build_scenario(apply_overrides(raw, [f"{variable}={value}"]), default_name)
+        # the file and printed heading that this value's runs are summarized into
+        sheet_of[tag] = (
+            (f"sweep_{tag}.csv", f"p = {value:g}") if letter == "p" else ("sweep.csv", None)
         )
         for protocol in _protocols(scenario, args.protocol):
             for seed in range(args.seeds):
                 jobs.append((scenario, protocol, seed, args.trace))
-                tags.append(f"{tag}{value:g}")
+                tags.append(tag)
 
     os.makedirs(args.out, exist_ok=True)
-    runs = [run for _, run in _each_run(jobs, tags, args.out, args.jobs)]
-    if len(runs) < len(jobs):
-        return 1
-
-    if args.nodes is not None:
-        rows = summarize(runs)
-        write_csv(rows, os.path.join(args.out, "sweep.csv"))
+    # a sheet's runs are contiguous: each is folded into its summary as it arrives
+    sheets = [
+        (sheet, summarize(run for _, _, run in runs))
+        for sheet, runs in groupby(
+            _each_run(jobs, tags, args.out, args.jobs), key=lambda item: sheet_of[item[0]]
+        )
+    ]
+    for (name, heading), rows in sheets:
+        write_csv(rows, os.path.join(args.out, name))
+        if heading:
+            print(heading)
         _print_rows(rows)
-    else:
-        per_value = len(runs) // len(values)
-        for i, (tag, value) in enumerate(values):
-            rows = summarize(runs[i * per_value : (i + 1) * per_value])
-            write_csv(rows, os.path.join(args.out, f"sweep_p{value:g}.csv"))
-            print(f"p = {value:g}")
-            _print_rows(rows)
     return 0
 
 
@@ -254,9 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except (ScenarioError, OSError, UsageError) as exc:
+    except (RunError, ScenarioError, OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, RunError) else 2
 
 
 if __name__ == "__main__":

@@ -134,7 +134,9 @@ class Aggregate:
     delivery_ratio: float
 
 
-def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
+def _mean_sd(values: Iterable[float | None]) -> tuple[float | None, float | None]:
+    """Mean and sample SD of the values that are not None."""
+    values = [v for v in values if v is not None]
     if not values:
         return None, None
     mean = statistics.fmean(values)
@@ -143,33 +145,23 @@ def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
 
 
 def summarize(runs: Iterable[RunMetrics]) -> list[Aggregate]:
-    """Aggregate per (protocol, node_count): mean and sample SD of run means."""
-    groups: dict[tuple[str, int], list[RunMetrics]] = {}
+    """Aggregate per (protocol, node_count): mean and sample SD of run means.
+
+    Each run is reduced to its mean hops, mean per-hop distance and delivery
+    ratio as it is read, so `runs` may be a stream of any length.
+    """
+    groups: dict[tuple[str, int], list[tuple]] = {}
     for run in runs:
-        groups.setdefault((run.protocol, run.node_count), []).append(run)
+        groups.setdefault((run.protocol, run.node_count), []).append(
+            (run.mean_hops(), run.mean_perhop_distance(), run.delivery_ratio())
+        )
     if not groups:
         raise EmptyInputError("summarize() needs at least one run")
     rows = []
-    for (protocol, node_count), members in sorted(groups.items()):
-        hop_means = [m for m in (r.mean_hops() for r in members) if m is not None]
-        dist_means = [
-            m for m in (r.mean_perhop_distance() for r in members) if m is not None
-        ]
-        mean_hops, sd_hops = _mean_sd(hop_means)
-        mean_dist, sd_dist = _mean_sd(dist_means)
-        ratio = statistics.fmean(r.delivery_ratio() for r in members)
-        rows.append(
-            Aggregate(
-                protocol,
-                node_count,
-                len(members),
-                mean_hops,
-                sd_hops,
-                mean_dist,
-                sd_dist,
-                ratio,
-            )
-        )
+    for (protocol, node_count), means in sorted(groups.items()):
+        hops, dists, ratios = zip(*means)
+        stats = (*_mean_sd(hops), *_mean_sd(dists), statistics.fmean(ratios))
+        rows.append(Aggregate(protocol, node_count, len(means), *stats))
     return rows
 
 

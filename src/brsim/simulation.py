@@ -59,8 +59,7 @@ class Simulation:
             nid: cls(nid, self) for nid in sorted(self.topology.nodes)
         }
         self._tx: dict[int, set[int]] = {}
-        self._uids = 0
-        self._sources: dict[int, int] = {}
+        self._sources: list[int] = []  # indexed by packet uid
         self._delivered: dict[int, tuple[int, int]] = {}  # uid -> (hops, time)
         self._dropped: dict[int, tuple[str, int]] = {}  # uid -> (reason, time)
         # quiescence: traffic arrivals still due within the horizon, packets
@@ -86,9 +85,10 @@ class Simulation:
         for src in t.sources:
             for k in range(t.packets_per_source):
                 at = t.start_ms + k * t.inter_arrival_ms
+                if at > self.scenario.horizon_ms:
+                    break  # it would never fire, and the later ones neither
                 self.engine.schedule(at, TimerFire(src, "traffic", k, 0))
-                if at <= self.scenario.horizon_ms:
-                    self._traffic_due += 1
+                self._traffic_due += 1
 
     # ---- radio ------------------------------------------------------------
 
@@ -157,10 +157,9 @@ class Simulation:
 
     def _generate_packet(self, src: int) -> None:
         self._traffic_due -= 1
-        uid = self._uids
-        self._uids += 1
-        self._sources[uid] = src
+        uid = self.metrics.generated
         self.metrics.generated += 1
+        self._sources.append(src)
         self.nodes[src].enqueue(
             PacketMeta(uid, src, self.topology.destination, hop_count=0)
         )
@@ -232,7 +231,7 @@ class Simulation:
 
     def _finalize(self) -> None:
         """Assign one outcome per packet; delivery beats any recorded drop."""
-        for uid in range(self._uids):
+        for uid in range(self.metrics.generated):
             src = self._sources[uid]
             if uid in self._delivered:
                 hops, t = self._delivered[uid]

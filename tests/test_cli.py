@@ -1,6 +1,7 @@
 """Command-line surface: run and sweep subcommands, outputs, exit codes."""
 
 import os
+import weakref
 
 import pytest
 
@@ -271,6 +272,83 @@ def test_sweep_error_names_the_run_that_failed(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "n5 protocol=br seed=3: injected failure" in err
     assert "seed=0" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_p_sweep_failing_in_its_second_value_writes_no_sheet(tmp_path, capsys, monkeypatch):
+    real = brsim.simulation.run_scenario
+
+    def failing_at_p_07(scenario, protocol, seed, trace=False):
+        if scenario.br.relay_probability == 0.7:
+            raise RuntimeError("injected failure")
+        return real(scenario, protocol, seed, trace=trace)
+
+    monkeypatch.setattr(brsim.simulation, "run_scenario", failing_at_p_07)
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--p", "0.5..0.9:0.2", "--seeds", "2",
+        "--jobs", "1", "--protocol", "br", "--out", str(tmp_path), *FAST,
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: scenario=tandem12 p0.7 protocol=br seed=0: injected failure\n"
+    )
+    assert captured.out == ""
+    assert not list(tmp_path.glob("sweep_p*.csv"))
+
+
+def test_run_with_a_failing_protocol_reports_it_once_and_writes_no_summary(
+    tmp_path, capsys, monkeypatch
+):
+    real = brsim.simulation.run_scenario
+
+    def failing_aodv(scenario, protocol, seed, trace=False):
+        if protocol == "aodv":
+            raise RuntimeError("injected failure")
+        return real(scenario, protocol, seed, trace=trace)
+
+    monkeypatch.setattr(brsim.simulation, "run_scenario", failing_aodv)
+    code = run_cli(
+        "run", "--scenario", "tandem12", "--seed", "3", "--out", str(tmp_path), *FAST
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: scenario=tandem12 protocol=aodv seed=3: injected failure\n"
+    )
+    assert captured.out.startswith("br: generated=")
+    assert "aodv" not in captured.out
+    assert (tmp_path / "tandem12_br_seed3_hops.tsv").exists()
+    assert not (tmp_path / "tandem12_aodv_seed3_hops.tsv").exists()
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, min(2, os.cpu_count() or 1)], ids=["serial", "pooled"])
+def test_sweep_keeps_no_finished_run(tmp_path, monkeypatch, jobs):
+    real_run_many = brsim.cli.run_many
+    real_write_csv = brsim.cli.write_csv
+    yielded = []
+    alive_at_first_write = []
+
+    def tracking(job_list, max_workers=1):
+        for run in real_run_many(job_list, max_workers=max_workers):
+            yielded.append(weakref.ref(run))
+            yield run
+
+    def checking(rows, path):
+        if not alive_at_first_write:
+            alive_at_first_write.append(sum(ref() is not None for ref in yielded))
+        real_write_csv(rows, path)
+
+    monkeypatch.setattr(brsim.cli, "run_many", tracking)
+    monkeypatch.setattr(brsim.cli, "write_csv", checking)
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--nodes", "5..6", "--seeds", "3",
+        "--jobs", str(jobs), "--out", str(tmp_path), *FAST,
+    )
+    assert code == 0
+    assert len(yielded) == 2 * 2 * 3
+    assert alive_at_first_write == [0]
 
 
 def test_summary_csv_header_matches_contract(tmp_path):

@@ -448,6 +448,25 @@ def test_traffic_due_after_the_horizon_does_not_hold_the_run_open():
     assert full.engine.processed > 0
 
 
+@pytest.mark.parametrize("protocol", ["br", "aodv"])
+def test_no_traffic_arrival_is_scheduled_past_the_horizon(protocol):
+    scenario = make_scenario(
+        {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (10.0, 0.0)},
+        2,
+        sources=(0, 1),
+        channel=ChannelParams(tx_range_m=6.0),
+        packets_per_source=1000,
+        inter_arrival_ms=100_000,
+        start_ms=50_000,
+        horizon_ms=350_000,
+    )
+    sim = Simulation(scenario, protocol, 0)
+    epochs = 2 if protocol == "br" else 0  # one per station but the destination
+    # the beacon, the epochs, and each source's arrivals at 50, 150, 250 and 350 s
+    assert sim.engine.pending() == 1 + epochs + 2 * 4
+    assert sim._traffic_due == 2 * 4
+
+
 # ---- repeat beacon arrivals ------------------------------------------------------
 
 BEACON_SKIP_SCENARIOS = {
