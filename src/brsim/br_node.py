@@ -2,17 +2,19 @@
 
 Every station flips a coin at the start of each decision epoch: with
 probability p it listens (and may relay for others), otherwise it transmits
-any queued data of its own. Forwarding is greedy on the responders' stored
-destination RSSI; when no responder beats the sender's own reading, or nobody
-answered at all, the node shoots directly at the destination. Once a packet
-has travelled more than loop_threshold hops, stations it already passed
-through are excluded from the candidate set.
+any queued data of its own. Each station keeps its own epoch grid: a uniform
+offset in [0, epoch_ms), then one epoch every epoch_ms. Forwarding is greedy
+on the responders' stored destination RSSI; when no responder beats the
+sender's own reading, or nobody answered at all, the node shoots directly at
+the destination. Once a packet has travelled more than loop_threshold hops,
+stations it already passed through are excluded from the candidate set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import DecisionEpoch
 from .frame import Frame
 from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
 
@@ -61,11 +63,14 @@ class BrNode(RadioNode):
 
     def __init__(self, node_id: int, sim) -> None:
         super().__init__(node_id, sim)
-        # Mode until the first scheduled epoch: drawn from the same coin, so
-        # the degenerate probabilities behave exactly from t = 0 onward.
-        self.listening = not self.is_destination and sim.engine.bernoulli(
-            self.id, self.params.relay_probability
-        )
+        # Mode until the first epoch: drawn from the same coin, so the
+        # degenerate probabilities behave exactly from t = 0 onward. The
+        # first epoch's offset is drawn next.
+        self.listening = False
+        if not self.is_destination:
+            engine, p = sim.engine, self.params
+            self.listening = engine.bernoulli(self.id, p.relay_probability)
+            engine.schedule(engine.draw_uniform(self.id, p.epoch_ms), DecisionEpoch(self.id))
 
     # ---- epoch ------------------------------------------------------------
 
@@ -74,15 +79,16 @@ class BrNode(RadioNode):
 
         The coin is flipped every epoch regardless of queue state, so with
         p = 0 no station ever listens and with p = 1 none ever transmits its
-        own data. The destination takes no epochs at all.
+        own data. The next epoch is scheduled last, so a timer armed here wins
+        a same-tick tie with it. The destination takes no epochs at all.
         """
         if self.is_destination:
             return
-        self.listening = self.sim.engine.bernoulli(
-            self.id, self.params.relay_probability
-        )
+        engine = self.sim.engine
+        self.listening = engine.bernoulli(self.id, self.params.relay_probability)
         if not self.listening and self.queue and self.phase == IDLE:
             self._start_handshake()
+        engine.schedule(engine.now + self.params.epoch_ms, DecisionEpoch(self.id))
 
     # ---- channel access -------------------------------------------------------
 

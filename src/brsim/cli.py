@@ -30,6 +30,7 @@ from .scenario import (
     apply_overrides,
     build_scenario,
     load_raw,
+    load_scenario,
 )
 from .simulation import run_many
 
@@ -127,9 +128,7 @@ def _each_run(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    raw, default_name = load_raw(args.scenario)
-    raw = apply_overrides(raw, args.set)
-    scenario = build_scenario(raw, default_name)
+    scenario = load_scenario(args.scenario, args.set)
     jobs = [(scenario, p, args.seed, args.trace) for p in _protocols(scenario, args.protocol)]
     os.makedirs(args.out, exist_ok=True)
     runs = []

@@ -77,7 +77,10 @@ class RadioNode:
         self.params = sim.br_params
         self.destination = sim.topology.destination
         self.is_destination = node_id == self.destination
-        self.dst_rssi: int | None = None
+        # the destination reads its own beacon; every other station waits for one
+        self.dst_rssi: int | None = (
+            sim.link.rssi_of(node_id, node_id) if self.is_destination else None
+        )
         self.queue: deque[_Pending] = deque()
         self.phase = IDLE
         self.responses: list[ResponseRecord] = []

@@ -103,8 +103,8 @@ def tandem_topology(
     count: int, floor_width_m: float = _FLOOR_WIDTH_M, floor_length_m: float = _FLOOR_LENGTH_M
 ) -> Topology:
     """Equally spaced line along the floor centerline, ends are source/destination."""
-    if count < 2:
-        raise ValidationError("topology.count: tandem needs at least 2 nodes")
+    if not 2 <= count <= BROADCAST_ID:  # ids run from 0, below the broadcast id
+        raise ValidationError(f"topology.count: tandem needs 2 to {BROADCAST_ID} nodes")
     y = floor_width_m / 2.0
     step = floor_length_m / (count - 1)
     nodes = {i: Position(i * step, y) for i in range(count)}
@@ -118,8 +118,8 @@ def grid_topology(
     floor_length_m: float = _FLOOR_LENGTH_M,
 ) -> Topology:
     """rows x cols lattice filling the floor, destination in the last corner."""
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ValidationError("topology: grid needs at least 2 nodes")
+    if rows < 1 or cols < 1 or not 2 <= rows * cols <= BROADCAST_ID:
+        raise ValidationError(f"topology.rows x topology.cols: need 2 to {BROADCAST_ID} nodes")
     dx = floor_length_m / (cols - 1) if cols > 1 else 0.0
     dy = floor_width_m / (rows - 1) if rows > 1 else 0.0
     nodes = {}

@@ -12,6 +12,10 @@ keeps event counts proportional to real traffic. Those stations come from the
 link table's precomputed hearer lists, in ascending id. An untraced run also
 leaves out beacon arrivals at stations that already hold a destination
 reading; see Simulation.run.
+
+The nodes keep their own timing (a BrNode schedules its decision epochs).
+Each packet's outcome is written as it happens: generating the packet opens
+it as unresolved at the horizon, and `deliver` and `drop` overwrite that.
 """
 
 from __future__ import annotations
@@ -54,38 +58,24 @@ class Simulation:
         self.metrics = RunMetrics(
             protocol, len(self.topology.nodes), seed, trace=self.engine.trace
         )
+        # first at tick 0: the nodes built next schedule their own events after it
+        self.engine.schedule(0, BeaconTick(self.topology.destination))
         cls = _NODE_CLASSES[protocol]
         self.nodes: dict[int, RadioNode] = {
             nid: cls(nid, self) for nid in sorted(self.topology.nodes)
         }
         self._tx: dict[int, set[int]] = {}
-        self._sources: list[int] = []  # indexed by packet uid
-        self._delivered: dict[int, tuple[int, int]] = {}  # uid -> (hops, time)
-        self._dropped: dict[int, tuple[str, int]] = {}  # uid -> (reason, time)
         # quiescence: traffic arrivals still due within the horizon, packets
         # held in node queues, and whether this is an untraced run(), which
         # stops once both are zero and skips repeat beacon arrivals
         self._traffic_due = 0
         self._held = 0
         self._stop_when_idle = False
-        self._setup()
-
-    def _setup(self) -> None:
-        dst = self.topology.destination
-        self.nodes[dst].dst_rssi = self.link.rssi_of(dst, dst)
-        self.engine.schedule(0, BeaconTick(dst))
-        if self.protocol == "br":
-            epoch = self.br_params.epoch_ms
-            for nid in self.nodes:
-                if nid == dst:
-                    continue
-                offset = self.engine.draw_uniform(nid, epoch)
-                self.engine.schedule(offset, DecisionEpoch(nid))
-        t = self.scenario.traffic
+        t = scenario.traffic
         for src in t.sources:
             for k in range(t.packets_per_source):
                 at = t.start_ms + k * t.inter_arrival_ms
-                if at > self.scenario.horizon_ms:
+                if at > scenario.horizon_ms:
                     break  # it would never fire, and the later ones neither
                 self.engine.schedule(at, TimerFire(src, "traffic", k, 0))
                 self._traffic_due += 1
@@ -159,7 +149,9 @@ class Simulation:
         self._traffic_due -= 1
         uid = self.metrics.generated
         self.metrics.generated += 1
-        self._sources.append(src)
+        self.metrics.outcomes[uid] = Outcome(
+            uid, src, False, None, "horizon", self.scenario.horizon_ms
+        )
         self.nodes[src].enqueue(
             PacketMeta(uid, src, self.topology.destination, hop_count=0)
         )
@@ -174,12 +166,15 @@ class Simulation:
         self._stop_if_idle()
 
     def deliver(self, uid: int, hops: int) -> None:
-        if uid not in self._delivered:
-            self._delivered[uid] = (hops, self.engine.now)
+        outcomes = self.metrics.outcomes
+        if not outcomes[uid].delivered:  # the first delivery, even after a drop
+            outcomes[uid] = Outcome(uid, outcomes[uid].source, True, hops, None, self.engine.now)
 
     def drop(self, uid: int, reason: str) -> None:
-        if uid not in self._dropped:
-            self._dropped[uid] = (reason, self.engine.now)
+        outcomes = self.metrics.outcomes
+        if outcomes[uid].reason == "horizon":  # neither dropped nor delivered yet
+            source = outcomes[uid].source
+            outcomes[uid] = Outcome(uid, source, False, None, reason, self.engine.now)
 
     def record_hop(
         self, uid: int, sender: int, receiver: int, *, success: bool, attempts: int
@@ -213,6 +208,9 @@ class Simulation:
           again. The beacon still occupies the channel, so collisions and
           carrier sense are unchanged.
 
+        Outcomes are written as they happen, so nothing is left to assign
+        once the event loop returns.
+
         The nodes stay readable in `nodes` afterwards, but no longer point
         back at the simulation, so a finished run is freed by reference
         counting alone instead of waiting for a cyclic garbage collection.
@@ -220,7 +218,6 @@ class Simulation:
         self._stop_when_idle = self.engine.trace is None
         self._stop_if_idle()
         self.engine.run_until(self.scenario.horizon_ms, self._handle)
-        self._finalize()
         for node in self.nodes.values():
             node.sim = None
         return self.metrics
@@ -228,22 +225,6 @@ class Simulation:
     def _stop_if_idle(self) -> None:
         if self._stop_when_idle and not self._held and not self._traffic_due:
             self.engine.stop()
-
-    def _finalize(self) -> None:
-        """Assign one outcome per packet; delivery beats any recorded drop."""
-        for uid in range(self.metrics.generated):
-            src = self._sources[uid]
-            if uid in self._delivered:
-                hops, t = self._delivered[uid]
-                outcome = Outcome(uid, src, True, hops, None, t)
-            elif uid in self._dropped:
-                reason, t = self._dropped[uid]
-                outcome = Outcome(uid, src, False, None, reason, t)
-            else:
-                outcome = Outcome(
-                    uid, src, False, None, "horizon", self.scenario.horizon_ms
-                )
-            self.metrics.outcomes[uid] = outcome
 
 
 # One handler per event type, as plain functions: a table of bound methods
@@ -264,7 +245,6 @@ def _on_timer(sim: Simulation, ev: TimerFire) -> None:
 
 def _on_epoch(sim: Simulation, ev: DecisionEpoch) -> None:
     sim.nodes[ev.node].on_epoch()
-    sim.engine.schedule(sim.engine.now + sim.br_params.epoch_ms, DecisionEpoch(ev.node))
 
 
 def _on_beacon(sim: Simulation, ev: BeaconTick) -> None:

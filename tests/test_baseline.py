@@ -135,14 +135,14 @@ def test_busy_channel_exhausts_csma_then_backs_off_and_drops():
     sim.channel_busy = lambda me: True
     node = sim.nodes[1]
     log = record_tx(sim)
-    node.enqueue(PacketMeta(0, 1, 2))
+    sim._generate_packet(1)  # packet 0, queued at node 1
     sim.engine.run_until(400_000, sim._handle)
     # every handshake surveys the channel 1 + max_csma_backoffs times, and the
     # initial attempt plus max_tx_attempts retries all abandon the same way
     cca_fires = [ln for ln in sim.engine.trace if "\tcca:" in ln]
     assert len(cca_fires) == 9 * (1 + sim.csma_params.max_csma_backoffs)
     assert tx_ticks(log, 1) == []  # the RTS never reached the air
-    assert sim._dropped[0][0] == "max_attempts"
+    assert sim.metrics.outcomes[0].reason == "max_attempts"
     [hop] = sim.metrics.hops
     assert not hop.success
     assert hop.attempts == 9
@@ -160,7 +160,38 @@ def test_abandoned_response_is_dropped_silently():
     assert node._csma_item is None
     assert node.phase == IDLE
     assert tx_ticks(log, 1) == []
-    assert sim._dropped == {} and sim.metrics.hops == []
+    assert sim.metrics.outcomes == {} and sim.metrics.hops == []
+
+
+def test_abandoned_routing_charges_its_target():
+    sim = aodv_sim()
+    sim.channel_busy = lambda me: True
+    node = sim.nodes[1]
+    sim._generate_packet(1)  # packet 0, queued at node 1
+    node.queue[0].attempts = sim.br_params.max_tx_attempts  # this failure is the last
+    node._csma_queue.clear()
+    node._csma_item = _CsmaItem(Routing(1, 2, 1, 0, 0), target=0, uid=0)
+    node._csma_nb = sim.csma_params.max_csma_backoffs
+    node._cca_sample()  # busy once more: the Routing frame is abandoned
+    [hop] = sim.metrics.hops
+    assert not hop.success
+    assert hop.receiver == 0  # the chosen receiver, not the destination
+    assert sim.metrics.outcomes[0].reason == "max_attempts"
+
+
+def test_next_frame_starts_after_an_abandoned_one():
+    sim = aodv_sim()
+    node = sim.nodes[1]
+    node.dst_rssi = -60
+    log = record_tx(sim)
+    first = Response(0, 1, -60)
+    node.send(first, target=0)
+    node.send(Response(2, 1, -60), target=2)
+    # the channel is busy for as long as the first frame contends
+    sim.channel_busy = lambda me: node._csma_item.frame is first
+    sim.engine.run_until(100_000, sim._handle)
+    assert len(tx_ticks(log, 1)) == 1  # the second frame, after the first gave up
+    assert node._csma_item is None and not node._csma_queue
 
 
 def test_committed_routing_arms_ack_wait_from_the_tx_tick():

@@ -73,6 +73,11 @@ def test_rssi_symmetric():
         )
 
 
+def test_topology_destination_must_be_a_node():
+    with pytest.raises(ValueError, match="destination 2 not among nodes"):
+        topo([(0.0, 0.0), (5.0, 0.0)], destination=2)
+
+
 # ---- sensitivity and hearing range ------------------------------------------
 
 

@@ -98,6 +98,20 @@ def test_run_bad_override_exits_2(tmp_path, capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("br.relay_probability=[0.5", "bad value"),
+        ("topology.count=65536", "topology.count: tandem needs 2 to 65535 nodes"),
+    ],
+)
+def test_run_rejects_the_document_before_running(tmp_path, capsys, override, message):
+    code = run_cli("run", "--scenario", "tandem12", "--out", str(tmp_path), "--set", override)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_bad_channel_value_exits_2_naming_the_field(tmp_path, capsys):
     code = run_cli(
         "run", "--scenario", "tandem12", "--out", str(tmp_path),

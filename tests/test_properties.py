@@ -3,8 +3,11 @@
 Every run, whatever the placement, walls, protocol and seed, must give each
 generated packet exactly one outcome, keep wire hop counts within the hard
 cap, never hand a long-travelled `br` packet back to a station that already
-forwarded it, and let a delivery beat any drop recorded for the same packet.
+forwarded it, and let the first delivery beat any drop of the same packet,
+otherwise the first drop stand.
 """
+
+from collections import defaultdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,9 +60,27 @@ def runs(draw):
     return sim
 
 
+def record_resolutions(sim):
+    """Log every sim.deliver and sim.drop call, per uid, in call order."""
+    delivered, dropped = defaultdict(list), defaultdict(list)
+    deliver, drop = sim.deliver, sim.drop
+
+    def logged_deliver(uid, hops):
+        delivered[uid].append((hops, sim.engine.now))
+        deliver(uid, hops)
+
+    def logged_drop(uid, reason):
+        dropped[uid].append((reason, sim.engine.now))
+        drop(uid, reason)
+
+    sim.deliver, sim.drop = logged_deliver, logged_drop
+    return delivered, dropped
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(runs())
 def test_run_invariants(sim):
+    delivered, dropped = record_resolutions(sim)
     metrics = sim.run()
     cap = sim.br_params.hard_hop_cap
     assert metrics.generated == sim.scenario.traffic.packets_per_source * len(
@@ -76,15 +97,16 @@ def test_run_invariants(sim):
     assert all(rec.hop_count <= cap for rec in metrics.routing_log)
     assert all(o.hops <= cap + 1 for o in metrics.outcomes.values() if o.delivered)
 
-    # delivery beats a recorded drop; otherwise the drop's reason stands
+    # the first delivery beats any drop; otherwise the first drop stands
     for uid, outcome in metrics.outcomes.items():
-        if uid in sim._delivered:
+        if delivered[uid]:
             assert outcome.delivered
-            assert (outcome.hops, outcome.time_ms) == sim._delivered[uid]
-        elif uid in sim._dropped:
-            assert (outcome.reason, outcome.time_ms) == sim._dropped[uid]
+            assert (outcome.hops, outcome.time_ms) == delivered[uid][0]
+        elif dropped[uid]:
+            assert (outcome.reason, outcome.time_ms) == dropped[uid][0]
         else:
             assert outcome.reason == "horizon"
+            assert outcome.time_ms == sim.scenario.horizon_ms
 
     # no br revisit past the loop threshold
     if sim.protocol == "br":

@@ -6,6 +6,7 @@ from brsim.br_node import BrParams
 from brsim.channel import ChannelParams
 from brsim.engine import TimerFire
 from brsim.frame import Ack, DstBcast, Response, Routing
+from brsim.metrics import Outcome
 from brsim.protocol import AWAIT_ACK, AWAIT_RESPONSES, BACKOFF, IDLE, PacketMeta, ResponseRecord
 
 from conftest import make_sim
@@ -154,9 +155,10 @@ def test_duplicate_routing_acked_but_not_requeued():
 
 def test_routing_to_destination_delivers():
     sim = br_sim()
+    sim._generate_packet(0)
     dst = sim.nodes[2]
-    dst.on_routing(Routing(0, 2, 1, 2, 3), tx=1, uid=9)
-    assert sim._delivered[9] == (4, sim.engine.now)
+    dst.on_routing(Routing(0, 2, 1, 2, 3), tx=1, uid=0)
+    assert sim.metrics.outcomes[0] == Outcome(0, 0, True, 4, None, sim.engine.now)
     assert not dst.queue
 
 
@@ -164,10 +166,12 @@ def test_hop_cap_drops_packet():
     sim = br_sim()
     relay = sim.nodes[1]
     cap = sim.br_params.hard_hop_cap
-    relay.on_routing(Routing(0, 2, 0, 1, cap), tx=0, uid=6)
-    assert sim._dropped[6] == ("hop_cap", sim.engine.now)
+    sim._generate_packet(0)
+    sim._generate_packet(0)
+    relay.on_routing(Routing(0, 2, 0, 1, cap), tx=0, uid=0)
+    assert sim.metrics.outcomes[0] == Outcome(0, 0, False, None, "hop_cap", sim.engine.now)
     assert not relay.queue
-    relay.on_routing(Routing(0, 2, 0, 1, cap - 1), tx=0, uid=7)
+    relay.on_routing(Routing(0, 2, 0, 1, cap - 1), tx=0, uid=1)
     assert len(relay.queue) == 1
 
 
@@ -227,12 +231,14 @@ def test_beb_windows_double_then_saturate():
 def test_beb_exhaustion_drops_with_failed_hop():
     sim = br_sim()
     node = sim.nodes[0]
-    pending = queue_packet(node, uid=4)
+    sim._generate_packet(0)
+    pending = node.queue[0]
     pending.attempts = sim.br_params.max_tx_attempts  # 8 failures already
     node.phase = AWAIT_ACK
     node.current_target = 1
     node.beb_backoff()
-    assert sim._dropped[4] == ("max_attempts", sim.engine.now)
+    assert sim.metrics.outcomes[0].reason == "max_attempts"
+    assert sim.metrics.outcomes[0].time_ms == sim.engine.now
     assert not node.queue
     assert node.phase == IDLE
     [hop] = sim.metrics.hops
@@ -244,7 +250,8 @@ def test_beb_exhaustion_drops_with_failed_hop():
 def test_beb_exhaustion_without_target_charges_the_shoot():
     sim = br_sim()
     node = sim.nodes[0]
-    pending = queue_packet(node, uid=4)
+    sim._generate_packet(0)
+    pending = node.queue[0]
     pending.attempts = sim.br_params.max_tx_attempts
     node.current_target = None
     node.beb_backoff()

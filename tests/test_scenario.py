@@ -111,6 +111,16 @@ def test_grid_generator_row_major():
         grid_topology(1, 1, 4.0, 10.0)
 
 
+def test_generated_ids_reach_just_below_the_broadcast_id():
+    # 65536 nodes would need id 0xFFFF, the broadcast id: see test_validation_errors
+    for topology in (
+        {"generator": "tandem", "count": 65535},
+        {"generator": "grid", "rows": 3, "cols": 21845},
+    ):
+        raw = minimal(topology=topology, traffic={"sources": [0]})
+        assert max(build_scenario(raw).topology.nodes) == 0xFFFE
+
+
 def test_generator_via_document():
     raw = minimal()
     raw["topology"] = {"generator": "tandem", "count": 6}
@@ -188,6 +198,13 @@ def test_sources_all_excludes_destination():
         (lambda r: r.update(br={"slot_ms": True}), "expected an integer"),
         (lambda r: r.update(br={"slot_ms": 2.5}), "expected an integer"),
         (lambda r: r.update(csma={"max_csma_backoffs": -1}), "csma"),
+        (
+            lambda r: r.update(csma={"min_backoff_exponent": 6}),
+            "csma: backoff exponents must satisfy 0 <= min <= max",
+        ),
+        (lambda r: r.update(csma={"cca_ms": 0}), "csma: cca_ms and slot_ms must be at least 1 ms"),
+        (lambda r: r.update(br={"epoch_ms": 0}), "br: epoch_ms must be positive"),
+        (lambda r: r.update(br={"hard_hop_cap": 0}), "br: hard_hop_cap must be at least 1"),
         (lambda r: r.update(csma={"next_hop_metric": "link"}), "csma.next_hop_metric: unknown field"),
         (lambda r: r.update(traffic={"sources": []}), "sources"),
         (lambda r: r.update(traffic={"sources": [9]}), "unknown node"),
@@ -210,6 +227,14 @@ def test_sources_all_excludes_destination():
         ),
         (lambda r: r.update(topology={"generator": "grid", "cols": 3}), "topology.rows: required"),
         (lambda r: r.update(topology={"generator": "ring", "count": 4}), "unknown generator"),
+        (
+            lambda r: r.update(topology={"generator": "tandem", "count": 65536}),
+            "topology.count: tandem needs 2 to 65535 nodes",
+        ),
+        (
+            lambda r: r.update(topology={"generator": "grid", "rows": 256, "cols": 256}),
+            "topology.rows x topology.cols: need 2 to 65535 nodes",
+        ),
         (
             lambda r: r.update(topology={"generator": "tandem", "count": 2.5}),
             "topology.count: expected an integer",
@@ -294,6 +319,8 @@ def test_override_must_be_assignment():
         apply_overrides(minimal(), ["nonsense"])
     with pytest.raises(ValidationError, match="is not a mapping"):
         apply_overrides(minimal(), ["horizon_s.deep=1"])
+    with pytest.raises(ValidationError, match=r"override 'br.relay_probability=\[0.5': bad value"):
+        apply_overrides(minimal(), ["br.relay_probability=[0.5"])
 
 
 def test_load_raw_bundled_and_missing():

@@ -193,7 +193,6 @@ def test_delivery_beats_recorded_drop():
     sim.deliver(0, 2)  # e.g. the ack was lost but the packet got through
     sim.deliver(1, 3)
     sim.drop(1, "hop_cap")
-    sim._finalize()
     assert sim.metrics.outcomes[0].delivered
     assert sim.metrics.outcomes[1].delivered
     assert sim.metrics.outcomes[1].hops == 3
@@ -202,7 +201,6 @@ def test_delivery_beats_recorded_drop():
 def test_unresolved_packets_time_out_at_horizon():
     sim = cross_sim()
     sim._generate_packet(0)
-    sim._finalize()
     [outcome] = sim.metrics.outcomes.values()
     assert not outcome.delivered
     assert outcome.reason == "horizon"
@@ -212,10 +210,13 @@ def test_unresolved_packets_time_out_at_horizon():
 def test_first_resolution_wins():
     sim = cross_sim()
     sim._generate_packet(0)
+    sim._generate_packet(0)
     sim.drop(0, "max_attempts")
     sim.drop(0, "hop_cap")
-    sim._finalize()
+    sim.deliver(1, 2)
+    sim.deliver(1, 5)  # a retransmission whose earlier ack was lost
     assert sim.metrics.outcomes[0].reason == "max_attempts"
+    assert sim.metrics.outcomes[1].hops == 2
 
 
 # ---- decision epochs ----------------------------------------------------------------
