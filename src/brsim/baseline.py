@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .engine import TimerFire
 from .frame import Frame, MessageType
 from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
 
@@ -35,6 +36,8 @@ class CsmaParams:
     def __post_init__(self) -> None:
         if not 0 <= self.min_backoff_exponent <= self.max_backoff_exponent:
             raise ValueError("backoff exponents must satisfy 0 <= min <= max")
+        if self.max_backoff_exponent > 64:  # a window of 2**64 slots is one draw
+            raise ValueError("max_backoff_exponent must be at most 64")
         if self.max_csma_backoffs < 0:
             raise ValueError("max_csma_backoffs must be non-negative")
         if self.cca_ms < 1 or self.slot_ms < 1:
@@ -77,17 +80,18 @@ class AodvNode(RadioNode):
         delay = self.sim.engine.draw_uniform(self.id, 1 << self._csma_be) * self.csma.slot_ms
         self._arm("cca", self.sim.engine.now + delay)
 
-    def on_timer(self, tag: str, ref: int, token: int) -> None:
+    def on_timer(self, timer: TimerFire) -> None:
+        tag = timer.tag
         if tag == "cca":
-            if self._is_live(tag, token) and self._csma_item is not None:
+            if self._is_live(timer) and self._csma_item is not None:
                 self._cca_sample()
         elif tag == "csma-idle":
-            if self._is_live(tag, token):
+            if self._is_live(timer):
                 self._csma_item = None
                 if self._csma_queue:
                     self._csma_next()
         else:
-            super().on_timer(tag, ref, token)
+            super().on_timer(timer)
 
     def _cca_sample(self) -> None:
         item = self._csma_item

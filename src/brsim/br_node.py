@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DecisionEpoch
+from .engine import MAX_BOUND, DecisionEpoch
 from .frame import Frame
 from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
 
@@ -56,6 +56,13 @@ class BrParams:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # epoch_ms and response_slot_bound each bound one uniform draw, and so
+        # does a backoff window of 2**max_backoff_exponent slots
+        for name in ("epoch_ms", "response_slot_bound"):
+            if getattr(self, name) > MAX_BOUND:
+                raise ValueError(f"{name} must be at most 2**64")
+        if self.max_backoff_exponent > 64:
+            raise ValueError("max_backoff_exponent must be at most 64")
 
 
 class BrNode(RadioNode):

@@ -49,6 +49,18 @@ class ChannelParams:
         for name in ("ref_distance_m", "tx_range_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # LinkCache keeps each level as a linear power and divides every SIR by
+        # the noise floor's; its strongest link is one at the reference distance
+        if _overflows(self.noise_floor_dbm) or _linear_mw(self.noise_floor_dbm) == 0.0:
+            raise ValueError("noise_floor_dbm out of range: its linear power is not a positive float")
+        if _overflows(self.target_sir_db):
+            raise ValueError("target_sir_db too high: its linear power overflows a float")
+        strongest = self.tx_power_dbm - self.ref_loss_db
+        if math.isinf(strongest) or _overflows(_round_dbm(strongest)):
+            raise ValueError(
+                "tx_power_dbm too high: the linear power of a link at the reference"
+                " distance overflows a float"
+            )
 
 
 @dataclass
@@ -136,6 +148,13 @@ def sensitivity_dbm(params: ChannelParams) -> int:
 
 def _linear_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
+
+
+def _overflows(dbm: float) -> bool:
+    try:
+        return math.isinf(_linear_mw(dbm))
+    except OverflowError:
+        return True
 
 
 class LinkCache:

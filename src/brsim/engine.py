@@ -36,6 +36,7 @@ from .frame import Frame
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK53 = (1 << 53) - 1
+MAX_BOUND = 1 << 64  # the largest bound randbelow takes: one 64-bit draw covers it
 
 
 def _splitmix64(z: int) -> int:
@@ -72,8 +73,8 @@ class RngStream:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound), rejection-sampled (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= MAX_BOUND:
+            raise ValueError(f"bound must lie in 1..2**64, got {bound}")
         limit = (2**64 // bound) * bound
         while True:
             v = self.next_u64()
@@ -108,10 +109,11 @@ class FrameArrival:
 
 @dataclass(slots=True)
 class TimerFire:
+    """A node's timer; the node tells a live one from a stale one by identity."""
+
     node: int
     tag: str
     ref: int = 0
-    token: int = 0
 
 
 @dataclass(slots=True)

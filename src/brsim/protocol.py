@@ -16,8 +16,8 @@ When a handshake starts is policy too: BR starts one at a transmit epoch
 (`on_epoch`), the baseline as soon as it is idle with data (`_on_free`).
 
 A node owns exactly one handshake at a time, for the head of its FIFO queue.
-Timer staleness is handled with per-tag tokens: re-arming a tag invalidates
-any timer already in flight for it.
+A timer is live while it is the last one armed for its tag: re-arming a tag
+makes any timer already in flight for it stale, and a stale timer does nothing.
 """
 
 from __future__ import annotations
@@ -38,19 +38,15 @@ class PacketMeta:
     """Simulation-level identity of one data packet as held by one node.
 
     uid never appears on the wire; hop_count mirrors the Routing field and
-    counts completed handovers.
+    counts completed handovers. attempts counts the failed transmission
+    attempts of the current hop.
     """
 
     uid: int
     source: int
     dest: int
     hop_count: int = 0
-
-
-@dataclass
-class _Pending:
-    meta: PacketMeta
-    attempts: int = 0  # failed transmission attempts for the current hop
+    attempts: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,24 +77,22 @@ class RadioNode:
         self.dst_rssi: int | None = (
             sim.link.rssi_of(node_id, node_id) if self.is_destination else None
         )
-        self.queue: deque[_Pending] = deque()
+        self.queue: deque[PacketMeta] = deque()
         self.phase = IDLE
         self.responses: list[ResponseRecord] = []
         self.prior_forwarders: dict[int, set[int]] = defaultdict(set)
         self.current_target: int | None = None
-        self._token = 0
-        self._live: dict[str, int] = {}
+        self._live: dict[str, TimerFire] = {}  # the last timer armed per tag
         self._seen: set[int] = set()  # uids ever held here, for duplicate rejection
 
     # ---- timer plumbing -------------------------------------------------
 
     def _arm(self, tag: str, at: int, ref: int = 0) -> None:
-        self._token += 1
-        self._live[tag] = self._token
-        self.sim.engine.schedule(at, TimerFire(self.id, tag, ref, self._token))
+        timer = self._live[tag] = TimerFire(self.id, tag, ref)
+        self.sim.engine.schedule(at, timer)
 
-    def _is_live(self, tag: str, token: int) -> bool:
-        return self._live.get(tag) == token
+    def _is_live(self, timer: TimerFire) -> bool:
+        return self._live.get(timer.tag) is timer
 
     # ---- frame entry point ----------------------------------------------
 
@@ -160,26 +154,23 @@ class RadioNode:
 
     def enqueue(self, meta: PacketMeta) -> None:
         self._seen.add(meta.uid)
-        self.queue.append(_Pending(meta))
+        self.queue.append(meta)
         self.sim.packet_queued()
         self._on_free()
 
-    def _dequeue(self) -> _Pending:
-        pending = self.queue.popleft()
-        self.sim.packet_dequeued()
-        return pending
-
     def _on_ack(self, frame: Ack) -> None:
-        if self.phase != AWAIT_ACK or frame.response_node_id != self.current_target:
-            return
-        pending = self._dequeue()
-        self.sim.record_hop(
-            pending.meta.uid,
-            self.id,
-            self.current_target,
-            success=True,
-            attempts=pending.attempts + 1,
-        )
+        if self.phase == AWAIT_ACK and frame.response_node_id == self.current_target:
+            self._end_hop(success=True)
+
+    def _end_hop(self, success: bool) -> None:
+        """The queue head leaves: acked, or dropped after its last failed attempt."""
+        meta = self.queue.popleft()
+        self.sim.packet_dequeued()
+        # a hop that never chose a receiver was a shot at the destination
+        to = self.destination if self.current_target is None else self.current_target
+        self.sim.record_hop(meta.uid, self.id, to, success=success, attempts=meta.attempts + 1)
+        if not success:
+            self.sim.drop(meta.uid, "max_attempts")
         self.phase = IDLE
         self.current_target = None
         self._on_free()
@@ -191,11 +182,11 @@ class RadioNode:
         self.responses = []
         self.phase = AWAIT_RESPONSES
         self.current_target = None
-        self.send(SrcBcast(self.id), uid=self.queue[0].meta.uid)
+        self.send(SrcBcast(self.id), uid=self.queue[0].uid)
 
     def _on_select_timer(self) -> None:
         """The response window closed: send the packet to the chosen receiver."""
-        meta = self.queue[0].meta
+        meta = self.queue[0]
         target = self.select_next_hop(meta, self.responses)
         routing = Routing(meta.source, meta.dest, self.id, target, meta.hop_count)
         self.send(routing, target, meta.uid)
@@ -218,7 +209,7 @@ class RadioNode:
         """Queue a Response after the anti-collision jitter of whole slots."""
         p = self.params
         jitter = self.sim.engine.draw_uniform(self.id, p.response_slot_bound) * p.slot_ms
-        # a Response is never cancelled, so its timer needs no token
+        # a Response is never cancelled: its timer is not armed, so it is never stale
         self.sim.engine.schedule(
             self.sim.engine.now + jitter, TimerFire(self.id, "respond", owner)
         )
@@ -232,45 +223,35 @@ class RadioNode:
     def beb_backoff(self) -> None:
         """Binary exponential backoff after a failed hop attempt.
 
-        Increments the per-packet attempt counter; past max_tx_attempts the
-        packet is dropped, otherwise the retry fires after a uniformly drawn
-        number of slots in [0, 2^min(attempts, max_backoff_exponent)).
+        A packet whose hop already failed max_tx_attempts times is dropped.
+        Otherwise its attempt counter rises and the retry fires after a
+        uniformly drawn number of slots in [0, 2^min(attempts, max_backoff_exponent)).
         """
         p = self.params
-        pending = self.queue[0]
-        pending.attempts += 1
-        if pending.attempts > p.max_tx_attempts:
-            self.sim.record_hop(
-                pending.meta.uid,
-                self.id,
-                self.current_target if self.current_target is not None else self.destination,
-                success=False,
-                attempts=pending.attempts,
-            )
-            self.sim.drop(pending.meta.uid, "max_attempts")
-            self._dequeue()
-            self.phase = IDLE
-            self.current_target = None
-            self._on_free()
+        meta = self.queue[0]
+        if meta.attempts >= p.max_tx_attempts:
+            self._end_hop(success=False)
             return
-        exponent = min(pending.attempts, p.max_backoff_exponent)
+        meta.attempts += 1
+        exponent = min(meta.attempts, p.max_backoff_exponent)
         delay = self.sim.engine.draw_uniform(self.id, 1 << exponent) * p.slot_ms
         self.phase = BACKOFF
-        self._arm("backoff", self.sim.engine.now + delay, ref=pending.meta.uid)
+        self._arm("backoff", self.sim.engine.now + delay, ref=meta.uid)
 
     # ---- timers -----------------------------------------------------------
 
-    def on_timer(self, tag: str, ref: int, token: int) -> None:
+    def on_timer(self, timer: TimerFire) -> None:
+        tag = timer.tag
         if tag == "respond":
-            self._emit_response(ref)  # ref is the owner of the RTS
+            self._emit_response(timer.ref)  # ref is the owner of the RTS
         elif tag == "select":
-            if self.phase == AWAIT_RESPONSES and self._is_live(tag, token):
+            if self.phase == AWAIT_RESPONSES and self._is_live(timer):
                 self._on_select_timer()
         elif tag == "ack":
-            if self.phase == AWAIT_ACK and self._is_live(tag, token):
+            if self.phase == AWAIT_ACK and self._is_live(timer):
                 self.beb_backoff()
         elif tag == "backoff":
-            if self.phase == BACKOFF and self._is_live(tag, token):
+            if self.phase == BACKOFF and self._is_live(timer):
                 self._start_handshake()
 
     def _on_free(self) -> None:

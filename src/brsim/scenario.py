@@ -47,8 +47,8 @@ import yaml
 
 from .baseline import CsmaParams
 from .br_node import BrParams
-from .channel import ChannelParams, Position, Topology, WallSegment
-from .frame import BROADCAST_ID
+from .channel import ChannelParams, Position, Topology, WallSegment, rssi
+from .frame import BROADCAST_ID, Response
 
 
 class ScenarioError(Exception):
@@ -302,10 +302,30 @@ def build_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         key: _build(cls, {} if raw.get(key) is None else raw[key], key)
         for key, cls in (("channel", ChannelParams), ("br", BrParams), ("csma", CsmaParams))
     }
+    _check_readings(topology, params["channel"])
     if "traffic" not in raw:
         raise ValidationError("traffic: required")
     traffic = _build_traffic(raw["traffic"], topology)
     return Scenario(name, protocol, horizon_ms, topology, traffic=traffic, **params)
+
+
+def _check_readings(topology: Topology, channel: ChannelParams) -> None:
+    """Every station's reading of the destination beacon must fit a Response.
+
+    Any station may come to hold one (with the zero-interference target
+    every station decodes every beacon), and a Response carries it as an
+    int16 whole-dBm value.
+    """
+    dst = topology.destination
+    for nid in sorted(topology.nodes):
+        try:
+            level = rssi(topology.position(dst), topology.position(nid), topology, channel)
+            Response(dst, nid, level)
+        except (ArithmeticError, ValueError) as exc:
+            raise ValidationError(
+                f"channel: station {nid} cannot hold a reading of the destination"
+                f" beacon (tx_power_dbm less path loss and walls): {exc}"
+            ) from exc
 
 
 # ---- document and override handling ----------------------------------------

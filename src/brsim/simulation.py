@@ -77,7 +77,7 @@ class Simulation:
                 at = t.start_ms + k * t.inter_arrival_ms
                 if at > scenario.horizon_ms:
                     break  # it would never fire, and the later ones neither
-                self.engine.schedule(at, TimerFire(src, "traffic", k, 0))
+                self.engine.schedule(at, TimerFire(src, "traffic", k))
                 self._traffic_due += 1
 
     # ---- radio ------------------------------------------------------------
@@ -240,7 +240,7 @@ def _on_timer(sim: Simulation, ev: TimerFire) -> None:
     if ev.tag == "traffic":
         sim._generate_packet(ev.node)
     else:
-        sim.nodes[ev.node].on_timer(ev.tag, ev.ref, ev.token)
+        sim.nodes[ev.node].on_timer(ev)
 
 
 def _on_epoch(sim: Simulation, ev: DecisionEpoch) -> None:

@@ -103,6 +103,8 @@ def test_run_bad_override_exits_2(tmp_path, capsys):
     [
         ("br.relay_probability=[0.5", "bad value"),
         ("topology.count=65536", "topology.count: tandem needs 2 to 65535 nodes"),
+        ("br.epoch_ms=100000000000000000000000", "br: epoch_ms must be at most 2**64"),
+        ("channel.tx_power_dbm=33000", "channel: tx_power_dbm too high"),
     ],
 )
 def test_run_rejects_the_document_before_running(tmp_path, capsys, override, message):

@@ -98,6 +98,14 @@ def test_randbelow_bounds_and_errors():
         s.randbelow(-5)
 
 
+def test_randbelow_takes_bounds_up_to_two_to_the_64():
+    # at 2**64 every draw is accepted as it is; above, no draw could be
+    a, b = RngStream(99), RngStream(99)
+    assert [a.randbelow(2**64) for _ in range(3)] == [b.next_u64() for _ in range(3)]
+    with pytest.raises(ValueError):
+        a.randbelow(2**64 + 1)
+
+
 def test_randbelow_uniform_within_four_sigma():
     n = 30_000
     s = RngStream(derive_stream_seed(2026, 3))
@@ -160,7 +168,7 @@ def test_same_tick_events_pop_in_schedule_order():
     eng = Engine(0)
     order = []
     for ref in range(5):
-        eng.schedule(10, TimerFire(0, "t", ref, 0))
+        eng.schedule(10, TimerFire(0, "t", ref))
     eng.run_until(10, lambda ev: order.append(ev.ref))
     assert order == [0, 1, 2, 3, 4]
 
@@ -168,26 +176,26 @@ def test_same_tick_events_pop_in_schedule_order():
 def test_time_ordering_beats_schedule_order():
     eng = Engine(0)
     order = []
-    eng.schedule(30, TimerFire(0, "late", 0, 0))
-    eng.schedule(10, TimerFire(0, "early", 1, 0))
+    eng.schedule(30, TimerFire(0, "late", 0))
+    eng.schedule(10, TimerFire(0, "early", 1))
     eng.run_until(100, lambda ev: order.append(ev.tag))
     assert order == ["early", "late"]
 
 
 def test_scheduling_into_the_past_raises():
     eng = Engine(0)
-    eng.schedule(5, TimerFire(0, "a", 0, 0))
+    eng.schedule(5, TimerFire(0, "a", 0))
     eng.run_until(5)
     assert eng.now == 5
-    eng.schedule(5, TimerFire(0, "same-tick-ok", 0, 0))
+    eng.schedule(5, TimerFire(0, "same-tick-ok", 0))
     with pytest.raises(PastEventError):
-        eng.schedule(4, TimerFire(0, "b", 0, 0))
+        eng.schedule(4, TimerFire(0, "b", 0))
 
 
 def test_run_until_stops_at_horizon():
     eng = Engine(0)
     for t in (1, 2, 50, 99, 101):
-        eng.schedule(t, TimerFire(0, "t", t, 0))
+        eng.schedule(t, TimerFire(0, "t", t))
     assert eng.run_until(100) == 4
     assert eng.now == 100
     assert eng.pending() == 1
@@ -205,7 +213,7 @@ def test_stop_drops_pending_events_and_still_ends_at_horizon():
             eng.stop()
 
     for t in (1, 2, 3, 4):
-        eng.schedule(t, TimerFire(0, "t", t, 0))
+        eng.schedule(t, TimerFire(0, "t", t))
     assert eng.run_until(100, handler) == 2
     assert seen == [1, 2]
     assert eng.now == 100
@@ -219,9 +227,9 @@ def test_handler_may_schedule_followups():
     def handler(ev):
         seen.append((eng.now, ev.ref))
         if ev.ref < 3:
-            eng.schedule(eng.now + 10, TimerFire(0, "t", ev.ref + 1, 0))
+            eng.schedule(eng.now + 10, TimerFire(0, "t", ev.ref + 1))
 
-    eng.schedule(0, TimerFire(0, "t", 0, 0))
+    eng.schedule(0, TimerFire(0, "t", 0))
     eng.run_until(1000, handler)
     assert seen == [(0, 0), (10, 1), (20, 2), (30, 3)]
 
@@ -231,7 +239,7 @@ def test_trace_line_format():
     eng = Engine(0, trace=trace)
     eng.schedule(2, BeaconTick(0))
     eng.schedule(2, DecisionEpoch(4))
-    eng.schedule(5, TimerFire(3, "x", 7, 1))
+    eng.schedule(5, TimerFire(3, "x", 7))
     eng.schedule(9, FrameArrival(1, SrcBcast(5), 5))
     eng.run_until(10)
     assert trace == [

@@ -22,6 +22,17 @@ from brsim.simulation import Simulation
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_behaviour.json")
 
+# An ack wait longer than the gap between packets: an ack timer from an earlier
+# hop is still in flight when the next hop is waiting for its own ack, so these
+# runs fire stale ack timers that timer liveness must ignore.
+STALE_TIMERS = [
+    "topology.count=6",
+    "traffic.packets_per_source=5",
+    "traffic.inter_arrival_ms=1000",
+    "br.ack_wait_ms=20000",
+    "br.response_wait_ms=2000",
+]
+
 BOTH = ("br", "aodv")
 # group -> (scenario builder, protocols, seeds)
 GROUPS = {
@@ -39,6 +50,9 @@ GROUPS = {
     },
     "spiral": (_spiral_scenario, ("br",), range(10)),
     "bounce": (_bounce_scenario, ("br",), range(10)),
+    "stale_timers": (
+        lambda: load_scenario("tandem12", overrides=STALE_TIMERS), BOTH, range(5)
+    ),
 }
 
 # traced runs: key -> (scenario builder, protocol, seed)
@@ -57,6 +71,9 @@ TRACED = {
         7,
     ),
     "motion_testbed/aodv/1": (lambda: load_scenario("motion_testbed"), "aodv", 1),
+    "stale_timers/aodv/0": (
+        lambda: load_scenario("tandem12", overrides=STALE_TIMERS), "aodv", 0
+    ),
 }
 
 

@@ -127,7 +127,7 @@ def test_routing_accept_acks_and_enqueues():
     before = sim.engine.pending()
     relay.on_routing(Routing(0, 2, 0, 1, 0), tx=0, uid=77)
     assert len(relay.queue) == 1
-    meta = relay.queue[0].meta
+    meta = relay.queue[0]
     assert (meta.uid, meta.source, meta.dest, meta.hop_count) == (77, 0, 2, 1)
     assert relay.prior_forwarders[77] == {0}
     assert sim.engine.pending() == before + 1  # the Ack arrival at node 0
@@ -222,7 +222,7 @@ def test_beb_windows_double_then_saturate():
         assert pending.attempts == attempt
         assert node.phase == BACKOFF
         (at, ev) = scheduled(sim, "backoff")[-1]
-        assert ev.ref == pending.meta.uid
+        assert ev.ref == pending.uid
         delay = at - sim.engine.now
         assert delay % slot == 0
         assert 0 <= delay < slots * slot
@@ -268,9 +268,9 @@ def test_stale_ack_timer_does_nothing():
     node._arm("ack", sim.engine.now + 5, ref=1)
     stale = node._live["ack"]
     node._arm("ack", sim.engine.now + 9, ref=1)
-    node.on_timer("ack", 1, stale)
+    node.on_timer(stale)
     assert pending.attempts == 0
-    node.on_timer("ack", 1, node._live["ack"])
+    node.on_timer(node._live["ack"])
     assert pending.attempts == 1
 
 
@@ -280,7 +280,7 @@ def test_ack_timer_ignored_outside_await_ack():
     pending = queue_packet(node)
     node._arm("ack", sim.engine.now + 5, ref=1)
     node.phase = IDLE
-    node.on_timer("ack", 1, node._live["ack"])
+    node.on_timer(node._live["ack"])
     assert pending.attempts == 0
 
 

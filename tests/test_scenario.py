@@ -205,6 +205,29 @@ def test_sources_all_excludes_destination():
         (lambda r: r.update(csma={"cca_ms": 0}), "csma: cca_ms and slot_ms must be at least 1 ms"),
         (lambda r: r.update(br={"epoch_ms": 0}), "br: epoch_ms must be positive"),
         (lambda r: r.update(br={"hard_hop_cap": 0}), "br: hard_hop_cap must be at least 1"),
+        (lambda r: r.update(br={"epoch_ms": 2**64 + 1}), r"br: epoch_ms must be at most 2\*\*64"),
+        (
+            lambda r: r.update(br={"response_slot_bound": 2**64 + 1}),
+            r"br: response_slot_bound must be at most 2\*\*64",
+        ),
+        (
+            lambda r: r.update(br={"max_backoff_exponent": 65}),
+            "br: max_backoff_exponent must be at most 64",
+        ),
+        (
+            lambda r: r.update(csma={"min_backoff_exponent": 65, "max_backoff_exponent": 65}),
+            "csma: max_backoff_exponent must be at most 64",
+        ),
+        (lambda r: r.update(channel={"tx_power_dbm": 33000}), "channel: tx_power_dbm too high"),
+        (
+            lambda r: r.update(channel={"noise_floor_dbm": -4000}),
+            "channel: noise_floor_dbm out of range",
+        ),
+        (lambda r: r.update(channel={"target_sir_db": 4000}), "channel: target_sir_db too high"),
+        (
+            lambda r: r.update(channel={"tx_power_dbm": -40000, "target_sir_db": -4000}),
+            "channel: station 0 cannot hold a reading .* out of range for int16: -40061",
+        ),
         (lambda r: r.update(csma={"next_hop_metric": "link"}), "csma.next_hop_metric: unknown field"),
         (lambda r: r.update(traffic={"sources": []}), "sources"),
         (lambda r: r.update(traffic={"sources": [9]}), "unknown node"),
@@ -265,6 +288,16 @@ def test_loader_defaults_are_the_callees_defaults():
     [wall] = sc.topology.walls
     assert wall == WallSegment(Position(1.0, -1.0), Position(1.0, 1.0))
     assert sc.traffic == TrafficSpec(sources=(0,))
+
+
+def test_largest_draw_bounds_and_zero_interference_are_accepted():
+    raw = minimal()
+    raw["br"] = {"epoch_ms": 2**64, "response_slot_bound": 2**64, "max_backoff_exponent": 64}
+    raw["csma"] = {"max_backoff_exponent": 64}
+    raw["channel"] = {"target_sir_db": -1000}
+    sc = build_scenario(raw)
+    assert (sc.br.epoch_ms, sc.csma.max_backoff_exponent) == (2**64, 64)
+    assert sc.channel.target_sir_db == -1000
 
 
 def test_int_fields_accept_integral_floats():
