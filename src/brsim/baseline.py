@@ -44,21 +44,17 @@ class CsmaParams:
             raise ValueError("cca_ms and slot_ms must be at least 1 ms")
 
 
-@dataclass
-class _CsmaItem:
-    frame: Frame
-    target: int | None = None
-    uid: int | None = None
-
-
 class AodvNode(RadioNode):
     """One station running the always-on greedy baseline."""
 
     def __init__(self, node_id: int, sim) -> None:
         super().__init__(node_id, sim)
         self.csma: CsmaParams = sim.csma_params
-        self._csma_queue: deque[_CsmaItem] = deque()
-        self._csma_item: _CsmaItem | None = None
+        # Frames waiting for the channel as (frame, target, uid). The head is
+        # the frame in contention: it leaves when its transmission tick has
+        # passed or when it is abandoned. Exactly one `cca` or `csma-idle`
+        # timer is in flight while the queue has a head, so none is stale.
+        self._csma_queue: deque[tuple[Frame, int | None, int | None]] = deque()
         self._csma_nb = 0
         self._csma_be = self.csma.min_backoff_exponent
 
@@ -66,60 +62,56 @@ class AodvNode(RadioNode):
 
     def send(self, frame: Frame, target: int | None = None, uid: int | None = None) -> None:
         """Queue the frame for the channel; it goes on the air after a clear CCA."""
-        self._csma_queue.append(_CsmaItem(frame, target, uid))
-        if self._csma_item is None:
-            self._csma_next()
+        self._csma_queue.append((frame, target, uid))
+        if len(self._csma_queue) == 1:
+            self._csma_start()
 
-    def _csma_next(self) -> None:
-        self._csma_item = self._csma_queue.popleft()
+    def _csma_start(self) -> None:
+        """The queue head starts contending with a fresh backoff window."""
         self._csma_nb = 0
         self._csma_be = self.csma.min_backoff_exponent
         self._arm_cca()
 
     def _arm_cca(self) -> None:
         delay = self.sim.engine.draw_uniform(self.id, 1 << self._csma_be) * self.csma.slot_ms
-        self._arm("cca", self.sim.engine.now + delay)
+        self.sim.engine.schedule(self.sim.engine.now + delay, TimerFire(self.id, "cca"))
 
     def on_timer(self, timer: TimerFire) -> None:
         tag = timer.tag
         if tag == "cca":
-            if self._is_live(timer) and self._csma_item is not None:
-                self._cca_sample()
+            self._cca_sample()
         elif tag == "csma-idle":
-            if self._is_live(timer):
-                self._csma_item = None
-                if self._csma_queue:
-                    self._csma_next()
+            self._csma_queue.popleft()
+            if self._csma_queue:
+                self._csma_start()
         else:
             super().on_timer(timer)
 
     def _cca_sample(self) -> None:
-        item = self._csma_item
-        assert item is not None
         if self.sim.channel_busy(self.id):
             self._csma_nb += 1
             self._csma_be = min(self._csma_be + 1, self.csma.max_backoff_exponent)
             if self._csma_nb > self.csma.max_csma_backoffs:
-                self._csma_abandon(item)
+                self._csma_abandon()
                 return
             self._arm_cca()
             return
+        frame, target, uid = self._csma_queue[0]
         at = self.sim.engine.now + self.csma.cca_ms
-        self.sim.transmit_at(at, self.id, item.frame, only_to=item.target, uid=item.uid)
-        self._on_air(item.frame, item.target, item.uid, at)
+        self.sim.transmit_at(at, self.id, frame, only_to=target, uid=uid)
+        self._on_air(frame, uid, at)
         # hold the channel state until the transmission tick has passed
-        self._arm("csma-idle", at + 1)
+        self.sim.engine.schedule(at + 1, TimerFire(self.id, "csma-idle"))
 
-    def _csma_abandon(self, item: _CsmaItem) -> None:
-        self._csma_item = None
-        t = item.frame.type
-        if t is MessageType.SRC_BCAST or t is MessageType.ROUTING:
-            if t is MessageType.ROUTING:
-                self.current_target = item.target
+    def _csma_abandon(self) -> None:
+        frame = self._csma_queue.popleft()[0]
+        waiting = bool(self._csma_queue)
+        # a failed hop attempt may start a new RTS, which queues behind the
+        # frames already waiting; an abandoned response is simply never sent
+        if frame.type is MessageType.SRC_BCAST or frame.type is MessageType.ROUTING:
             self.beb_backoff()
-        # an abandoned response is simply never sent
-        if self._csma_item is None and self._csma_queue:
-            self._csma_next()
+        if waiting:
+            self._csma_start()
 
     # ---- next hop -------------------------------------------------------------
 

@@ -34,6 +34,10 @@ class WallSegment:
     b: Position
     attenuation_db: float = 20.0
 
+    def __post_init__(self) -> None:
+        if self.attenuation_db < 0:  # a wall never amplifies
+            raise ValueError("attenuation_db must be non-negative")
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -49,8 +53,11 @@ class ChannelParams:
         for name in ("ref_distance_m", "tx_range_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.path_loss_exponent < 0:  # loss never falls with distance
+            raise ValueError("path_loss_exponent must be non-negative")
         # LinkCache keeps each level as a linear power and divides every SIR by
-        # the noise floor's; its strongest link is one at the reference distance
+        # the noise floor's; with no negative loss anywhere, its strongest link
+        # is one at the reference distance
         if _overflows(self.noise_floor_dbm) or _linear_mw(self.noise_floor_dbm) == 0.0:
             raise ValueError("noise_floor_dbm out of range: its linear power is not a positive float")
         if _overflows(self.target_sir_db):
@@ -74,6 +81,11 @@ class Topology:
     def __post_init__(self) -> None:
         if self.destination not in self.nodes:
             raise ValueError(f"destination {self.destination} not among nodes")
+        # no pairwise distance may overflow: none exceeds the bounding box's diagonal
+        xs = [p.x for p in self.nodes.values()]
+        ys = [p.y for p in self.nodes.values()]
+        if math.isinf(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
+            raise ValueError("node positions too far apart: their distances overflow a float")
 
     def position(self, node_id: int) -> Position:
         return self.nodes[node_id]

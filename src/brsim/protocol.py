@@ -16,8 +16,9 @@ When a handshake starts is policy too: BR starts one at a transmit epoch
 (`on_epoch`), the baseline as soon as it is idle with data (`_on_free`).
 
 A node owns exactly one handshake at a time, for the head of its FIFO queue.
-A timer is live while it is the last one armed for its tag: re-arming a tag
-makes any timer already in flight for it stale, and a stale timer does nothing.
+Each phase but idle ends on one timer, the one `_arm` set last; any other hop
+timer still in flight (an ack wait that an Ack cut short) is stale and does
+nothing.
 """
 
 from __future__ import annotations
@@ -82,17 +83,14 @@ class RadioNode:
         self.responses: list[ResponseRecord] = []
         self.prior_forwarders: dict[int, set[int]] = defaultdict(set)
         self.current_target: int | None = None
-        self._live: dict[str, TimerFire] = {}  # the last timer armed per tag
+        self._timer: TimerFire | None = None  # the one timer this phase waits on
         self._seen: set[int] = set()  # uids ever held here, for duplicate rejection
 
     # ---- timer plumbing -------------------------------------------------
 
     def _arm(self, tag: str, at: int, ref: int = 0) -> None:
-        timer = self._live[tag] = TimerFire(self.id, tag, ref)
+        timer = self._timer = TimerFire(self.id, tag, ref)
         self.sim.engine.schedule(at, timer)
-
-    def _is_live(self, timer: TimerFire) -> bool:
-        return self._live.get(timer.tag) is timer
 
     # ---- frame entry point ----------------------------------------------
 
@@ -173,6 +171,7 @@ class RadioNode:
             self.sim.drop(meta.uid, "max_attempts")
         self.phase = IDLE
         self.current_target = None
+        self._timer = None
         self._on_free()
 
     # ---- the hop ------------------------------------------------------------
@@ -187,11 +186,11 @@ class RadioNode:
     def _on_select_timer(self) -> None:
         """The response window closed: send the packet to the chosen receiver."""
         meta = self.queue[0]
-        target = self.select_next_hop(meta, self.responses)
+        target = self.current_target = self.select_next_hop(meta, self.responses)
         routing = Routing(meta.source, meta.dest, self.id, target, meta.hop_count)
         self.send(routing, target, meta.uid)
 
-    def _on_air(self, frame: Frame, target: int | None, uid: int | None, at: int) -> None:
+    def _on_air(self, frame: Frame, uid: int | None, at: int) -> None:
         """One of this node's frames goes on the air at tick `at`.
 
         The response window and the ack wait run from that tick, so a frame
@@ -201,7 +200,6 @@ class RadioNode:
         if t is MessageType.SRC_BCAST:
             self._arm("select", at + self.params.response_wait_ms, ref=uid)
         elif t is MessageType.ROUTING:
-            self.current_target = target
             self.phase = AWAIT_ACK
             self._arm("ack", at + self.params.ack_wait_ms, ref=uid)
 
@@ -244,14 +242,12 @@ class RadioNode:
         tag = timer.tag
         if tag == "respond":
             self._emit_response(timer.ref)  # ref is the owner of the RTS
-        elif tag == "select":
-            if self.phase == AWAIT_RESPONSES and self._is_live(timer):
+        elif timer is self._timer:
+            if tag == "select":
                 self._on_select_timer()
-        elif tag == "ack":
-            if self.phase == AWAIT_ACK and self._is_live(timer):
+            elif tag == "ack":
                 self.beb_backoff()
-        elif tag == "backoff":
-            if self.phase == BACKOFF and self._is_live(timer):
+            else:  # the backoff ran out
                 self._start_handshake()
 
     def _on_free(self) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from brsim.baseline import CsmaParams, _CsmaItem
+from brsim.baseline import CsmaParams
 from brsim.channel import ChannelParams
 from brsim.engine import TimerFire
 from brsim.frame import MessageType, Response, Routing
@@ -157,7 +157,7 @@ def test_abandoned_response_is_dropped_silently():
     log = record_tx(sim)
     node.send(Response(0, 1, -60), target=0)
     sim.engine.run_until(100_000, sim._handle)
-    assert node._csma_item is None
+    assert not node._csma_queue
     assert node.phase == IDLE
     assert tx_ticks(log, 1) == []
     assert sim.metrics.outcomes == {} and sim.metrics.hops == []
@@ -170,7 +170,8 @@ def test_abandoned_routing_charges_its_target():
     sim._generate_packet(1)  # packet 0, queued at node 1
     node.queue[0].attempts = sim.br_params.max_tx_attempts  # this failure is the last
     node._csma_queue.clear()
-    node._csma_item = _CsmaItem(Routing(1, 2, 1, 0, 0), target=0, uid=0)
+    node._csma_queue.append((Routing(1, 2, 1, 0, 0), 0, 0))
+    node.current_target = 0  # as selecting the receiver would
     node._csma_nb = sim.csma_params.max_csma_backoffs
     node._cca_sample()  # busy once more: the Routing frame is abandoned
     [hop] = sim.metrics.hops
@@ -188,10 +189,10 @@ def test_next_frame_starts_after_an_abandoned_one():
     node.send(first, target=0)
     node.send(Response(2, 1, -60), target=2)
     # the channel is busy for as long as the first frame contends
-    sim.channel_busy = lambda me: node._csma_item.frame is first
+    sim.channel_busy = lambda me: node._csma_queue[0][0] is first
     sim.engine.run_until(100_000, sim._handle)
     assert len(tx_ticks(log, 1)) == 1  # the second frame, after the first gave up
-    assert node._csma_item is None and not node._csma_queue
+    assert not node._csma_queue
 
 
 def test_committed_routing_arms_ack_wait_from_the_tx_tick():
@@ -199,7 +200,8 @@ def test_committed_routing_arms_ack_wait_from_the_tx_tick():
     node = sim.nodes[1]
     node.enqueue(PacketMeta(5, 1, 2))
     node._csma_queue.clear()
-    node._csma_item = _CsmaItem(Routing(1, 2, 1, 2, 0), target=2, uid=5)
+    node._csma_queue.append((Routing(1, 2, 1, 2, 0), 2, 5))
+    node.current_target = 2  # as selecting the receiver would
     node._cca_sample()  # quiet channel: commits now + cca_ms
     tx_at = sim.engine.now + sim.csma_params.cca_ms
     assert node.phase == AWAIT_ACK
@@ -250,8 +252,8 @@ def test_enqueue_starts_handshake_when_idle():
     node = sim.nodes[0]
     node.enqueue(PacketMeta(3, 0, 2))
     assert node.phase != IDLE
-    assert node._csma_item is not None
-    assert node._csma_item.frame.type is MessageType.SRC_BCAST
+    [(frame, _, uid)] = node._csma_queue
+    assert frame.type is MessageType.SRC_BCAST and uid == 3
 
 
 def test_tandem_route_is_seed_independent():

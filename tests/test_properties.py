@@ -4,16 +4,18 @@ Every run, whatever the placement, walls, protocol and seed, must give each
 generated packet exactly one outcome, keep wire hop counts within the hard
 cap, never hand a long-travelled `br` packet back to a station that already
 forwarded it, and let the first delivery beat any drop of the same packet,
-otherwise the first drop stand.
+otherwise the first drop stand. Each wait, too, keeps exactly the timers it
+needs in flight.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams
+from brsim.engine import TimerFire
 
 from conftest import make_sim
 
@@ -122,3 +124,26 @@ def test_run_invariants(sim):
                 and hop.time_ms <= rec.time_ms
             }
             assert rec.receiver not in priors
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(runs())
+def test_each_wait_keeps_its_one_timer(sim):
+    """After every event: a baseline station has one `cca` or `csma-idle`
+    timer in flight exactly while its CSMA queue has a head, and every
+    pending `select` or `backoff` timer is the one its node waits on."""
+    handle = sim._handle
+
+    def checked(ev):
+        handle(ev)
+        timers = [e for _, _, e in sim.engine._heap if isinstance(e, TimerFire)]
+        if sim.protocol == "aodv":
+            csma = Counter(t.node for t in timers if t.tag in ("cca", "csma-idle"))
+            for node in sim.nodes.values():
+                assert csma[node.id] == (1 if node._csma_queue else 0)
+        for t in timers:
+            if t.tag in ("select", "backoff"):
+                assert t is sim.nodes[t.node]._timer
+
+    sim._handle = checked
+    sim.run()

@@ -266,22 +266,29 @@ def test_stale_ack_timer_does_nothing():
     node.phase = AWAIT_ACK
     node.current_target = 1
     node._arm("ack", sim.engine.now + 5, ref=1)
-    stale = node._live["ack"]
+    stale = node._timer
     node._arm("ack", sim.engine.now + 9, ref=1)
     node.on_timer(stale)
     assert pending.attempts == 0
-    node.on_timer(node._live["ack"])
+    node.on_timer(node._timer)
     assert pending.attempts == 1
 
 
 def test_ack_timer_ignored_outside_await_ack():
     sim = br_sim()
     node = sim.nodes[0]
-    pending = queue_packet(node)
+    queue_packet(node, uid=1)
+    queue_packet(node, uid=2)
+    node.phase = AWAIT_ACK
+    node.current_target = 1
     node._arm("ack", sim.engine.now + 5, ref=1)
-    node.phase = IDLE
-    node.on_timer(node._live["ack"])
-    assert pending.attempts == 0
+    timer = node._timer
+    node.on_frame(Ack(1), tx=1, uid=None, measured=-50)  # the Ack ends the hop first
+    node.on_timer(timer)
+    [waiting] = node.queue
+    assert (waiting.uid, waiting.attempts) == (2, 0)
+    assert node.phase == IDLE
+    assert scheduled(sim, "backoff") == []
 
 
 # ---- responder behaviour ----------------------------------------------------------

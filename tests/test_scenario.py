@@ -267,6 +267,41 @@ def test_sources_all_excludes_destination():
             lambda r: r.update(walls=[{"x1": "a", "y1": 0, "x2": 1, "y2": 1}]),
             r"walls\[0\].x1: expected a number",
         ),
+        (
+            lambda r: r.update(channel={"path_loss_exponent": -400}),
+            "channel: path_loss_exponent must be non-negative",
+        ),
+        (
+            lambda r: r.update(channel={"path_loss_exponent": -0.5}),
+            "channel: path_loss_exponent must be non-negative",
+        ),
+        (
+            lambda r: r.update(walls=[{"x1": 2, "y1": -1, "x2": 2, "y2": 1, "attenuation_db": -5000}]),
+            r"walls\[0\]: attenuation_db must be non-negative",
+        ),
+        (
+            lambda r: r["topology"].update(
+                nodes=[
+                    {"id": 0, "x": 0.0, "y": 0.0},
+                    {"id": 1, "x": 1.0e308, "y": 0.0},
+                    {"id": 2, "x": -1.0e308, "y": 0.0},
+                ],
+                destination=0,
+            ),
+            "topology: node positions too far apart",
+        ),
+        (
+            lambda r: r.update(
+                topology={
+                    "generator": "grid",
+                    "rows": 2,
+                    "cols": 2,
+                    "floor_width_m": 1.7e308,
+                    "floor_length_m": 1.7e308,
+                }
+            ),
+            "topology: node positions too far apart",
+        ),
     ],
 )
 def test_validation_errors(mutate, message):
