@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .engine import TimerFire
 from .frame import Frame, MessageType
-from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
+from .protocol import PacketMeta, RadioNode, ResponseRecord
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class AodvNode(RadioNode):
         # passed or when it is abandoned. Exactly one `cca` or `csma-idle`
         # timer is in flight while the queue has a head, so none is stale.
         self._csma_queue: deque[tuple[Frame, int | None, int | None]] = deque()
-        self._csma_nb = 0
-        self._csma_be = self.csma.min_backoff_exponent
+        self._csma_nb = 0  # busy CCAs of the head; its backoff window grows with them
 
     # ---- channel access ---------------------------------------------------
 
@@ -69,11 +68,12 @@ class AodvNode(RadioNode):
     def _csma_start(self) -> None:
         """The queue head starts contending with a fresh backoff window."""
         self._csma_nb = 0
-        self._csma_be = self.csma.min_backoff_exponent
         self._arm_cca()
 
     def _arm_cca(self) -> None:
-        delay = self.sim.engine.draw_uniform(self.id, 1 << self._csma_be) * self.csma.slot_ms
+        c = self.csma
+        exponent = min(c.min_backoff_exponent + self._csma_nb, c.max_backoff_exponent)
+        delay = self.sim.engine.draw_uniform(self.id, 1 << exponent) * c.slot_ms
         self.sim.engine.schedule(self.sim.engine.now + delay, TimerFire(self.id, "cca"))
 
     def on_timer(self, timer: TimerFire) -> None:
@@ -90,7 +90,6 @@ class AodvNode(RadioNode):
     def _cca_sample(self) -> None:
         if self.sim.channel_busy(self.id):
             self._csma_nb += 1
-            self._csma_be = min(self._csma_be + 1, self.csma.max_backoff_exponent)
             if self._csma_nb > self.csma.max_csma_backoffs:
                 self._csma_abandon()
                 return
@@ -136,5 +135,5 @@ class AodvNode(RadioNode):
 
     def _on_free(self) -> None:
         """Start on the queue head as soon as the node is idle."""
-        if self.queue and self.phase == IDLE:
+        if self.queue and not self.in_hop:
             self._start_handshake()

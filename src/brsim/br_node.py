@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .engine import MAX_BOUND, DecisionEpoch
 from .frame import Frame
-from .protocol import IDLE, PacketMeta, RadioNode, ResponseRecord
+from .protocol import PacketMeta, RadioNode, ResponseRecord
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,12 @@ class BrNode(RadioNode):
         The coin is flipped every epoch regardless of queue state, so with
         p = 0 no station ever listens and with p = 1 none ever transmits its
         own data. The next epoch is scheduled last, so a timer armed here wins
-        a same-tick tie with it. The destination takes no epochs at all.
+        a same-tick tie with it. The destination takes no epochs: none is
+        ever scheduled for it.
         """
-        if self.is_destination:
-            return
         engine = self.sim.engine
         self.listening = engine.bernoulli(self.id, self.params.relay_probability)
-        if not self.listening and self.queue and self.phase == IDLE:
+        if not self.listening and self.queue and not self.in_hop:
             self._start_handshake()
         engine.schedule(engine.now + self.params.epoch_ms, DecisionEpoch(self.id))
 

@@ -16,9 +16,10 @@ When a handshake starts is policy too: BR starts one at a transmit epoch
 (`on_epoch`), the baseline as soon as it is idle with data (`_on_free`).
 
 A node owns exactly one handshake at a time, for the head of its FIFO queue.
-Each phase but idle ends on one timer, the one `_arm` set last; any other hop
-timer still in flight (an ack wait that an Ack cut short) is stale and does
-nothing.
+A running hop waits on one timer, the one `_arm` set last: the response
+window (`select`), the ack wait (`ack`) or the retry backoff (`backoff`). Any
+other hop timer still in flight (an ack wait that an Ack cut short) is stale
+and does nothing.
 """
 
 from __future__ import annotations
@@ -57,12 +58,6 @@ class ResponseRecord:
     link_rssi: int
 
 
-IDLE = "idle"
-AWAIT_RESPONSES = "responses"
-AWAIT_ACK = "ack"
-BACKOFF = "backoff"
-
-
 class RadioNode:
     """Base station logic; subclasses supply the policy the module names."""
 
@@ -79,11 +74,13 @@ class RadioNode:
             sim.link.rssi_of(node_id, node_id) if self.is_destination else None
         )
         self.queue: deque[PacketMeta] = deque()
-        self.phase = IDLE
+        # True from the RTS for the queue head until that head leaves; an RTS
+        # still waiting for the channel holds no timer yet
+        self.in_hop = False
         self.responses: list[ResponseRecord] = []
         self.prior_forwarders: dict[int, set[int]] = defaultdict(set)
         self.current_target: int | None = None
-        self._timer: TimerFire | None = None  # the one timer this phase waits on
+        self._timer: TimerFire | None = None  # the one timer the running hop waits on
         self._seen: set[int] = set()  # uids ever held here, for duplicate rejection
 
     # ---- timer plumbing -------------------------------------------------
@@ -122,7 +119,8 @@ class RadioNode:
             self._schedule_response(tx)
 
     def _collect_response(self, frame: Response, measured: int) -> None:
-        if self.phase == AWAIT_RESPONSES and frame.broadcast_node_id == self.id:
+        # each handshake starts a fresh list, so a late answer reaches no selection
+        if frame.broadcast_node_id == self.id:
             self.responses.append(
                 ResponseRecord(frame.response_node_id, frame.dst_rssi, measured)
             )
@@ -157,7 +155,8 @@ class RadioNode:
         self._on_free()
 
     def _on_ack(self, frame: Ack) -> None:
-        if self.phase == AWAIT_ACK and frame.response_node_id == self.current_target:
+        awaiting_ack = self._timer is not None and self._timer.tag == "ack"
+        if awaiting_ack and frame.response_node_id == self.current_target:
             self._end_hop(success=True)
 
     def _end_hop(self, success: bool) -> None:
@@ -169,7 +168,7 @@ class RadioNode:
         self.sim.record_hop(meta.uid, self.id, to, success=success, attempts=meta.attempts + 1)
         if not success:
             self.sim.drop(meta.uid, "max_attempts")
-        self.phase = IDLE
+        self.in_hop = False
         self.current_target = None
         self._timer = None
         self._on_free()
@@ -179,7 +178,7 @@ class RadioNode:
     def _start_handshake(self) -> None:
         """Broadcast an RTS for the queue head and collect the answers."""
         self.responses = []
-        self.phase = AWAIT_RESPONSES
+        self.in_hop = True
         self.current_target = None
         self.send(SrcBcast(self.id), uid=self.queue[0].uid)
 
@@ -200,7 +199,6 @@ class RadioNode:
         if t is MessageType.SRC_BCAST:
             self._arm("select", at + self.params.response_wait_ms, ref=uid)
         elif t is MessageType.ROUTING:
-            self.phase = AWAIT_ACK
             self._arm("ack", at + self.params.ack_wait_ms, ref=uid)
 
     def _schedule_response(self, owner: int) -> None:
@@ -233,7 +231,6 @@ class RadioNode:
         meta.attempts += 1
         exponent = min(meta.attempts, p.max_backoff_exponent)
         delay = self.sim.engine.draw_uniform(self.id, 1 << exponent) * p.slot_ms
-        self.phase = BACKOFF
         self._arm("backoff", self.sim.engine.now + delay, ref=meta.uid)
 
     # ---- timers -----------------------------------------------------------

@@ -281,6 +281,9 @@ def build_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     name = raw.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise ValidationError("name: expected a non-empty string")
+    # the name starts the name of every output file
+    if any(c in name for c in filter(None, ("/", "\0", os.sep, os.altsep))):
+        raise ValidationError(f"name: {name!r} cannot be part of a file name")
     protocol = raw.get("protocol", "both")
     if protocol not in ("br", "aodv", "both"):
         raise ValidationError(f"protocol: expected br, aodv or both, got {protocol!r}")

@@ -6,7 +6,7 @@ from brsim.baseline import CsmaParams
 from brsim.channel import ChannelParams
 from brsim.engine import TimerFire
 from brsim.frame import MessageType, Response, Routing
-from brsim.protocol import AWAIT_ACK, BACKOFF, IDLE, PacketMeta, ResponseRecord
+from brsim.protocol import PacketMeta, ResponseRecord
 
 from conftest import make_sim, tandem_positions
 
@@ -158,7 +158,7 @@ def test_abandoned_response_is_dropped_silently():
     node.send(Response(0, 1, -60), target=0)
     sim.engine.run_until(100_000, sim._handle)
     assert not node._csma_queue
-    assert node.phase == IDLE
+    assert not node.in_hop
     assert tx_ticks(log, 1) == []
     assert sim.metrics.outcomes == {} and sim.metrics.hops == []
 
@@ -204,7 +204,7 @@ def test_committed_routing_arms_ack_wait_from_the_tx_tick():
     node.current_target = 2  # as selecting the receiver would
     node._cca_sample()  # quiet channel: commits now + cca_ms
     tx_at = sim.engine.now + sim.csma_params.cca_ms
-    assert node.phase == AWAIT_ACK
+    assert node._timer.tag == "ack"
     assert node.current_target == 2
     [(t, ev)] = scheduled(sim, "ack")
     assert t == tx_at + sim.br_params.ack_wait_ms
@@ -215,11 +215,18 @@ def test_csma_window_growth_is_capped():
     sim = aodv_sim()
     sim.channel_busy = lambda me: True
     node = sim.nodes[1]
-    node.send(Response(0, 1, -60), target=0)
     widths = []
-    for _ in range(5):
+    draw = sim.engine.draw_uniform
+
+    def recording_draw(node_id, bound):
+        if node_id == node.id:
+            widths.append(bound)
+        return draw(node_id, bound)
+
+    sim.engine.draw_uniform = recording_draw
+    node.send(Response(0, 1, -60), target=0)
+    for _ in range(5):  # the fifth busy CCA abandons the frame
         [(t, ev)] = scheduled(sim, "cca")
-        widths.append(1 << node._csma_be)
         sim.engine.run_until(t, sim._handle)
     assert widths == [8, 16, 32, 32, 32]
 
@@ -251,7 +258,7 @@ def test_enqueue_starts_handshake_when_idle():
     sim = aodv_sim()
     node = sim.nodes[0]
     node.enqueue(PacketMeta(3, 0, 2))
-    assert node.phase != IDLE
+    assert node.in_hop
     [(frame, _, uid)] = node._csma_queue
     assert frame.type is MessageType.SRC_BCAST and uid == 3
 

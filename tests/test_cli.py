@@ -106,6 +106,8 @@ def test_run_bad_override_exits_2(tmp_path, capsys):
         ("br.epoch_ms=100000000000000000000000", "br: epoch_ms must be at most 2**64"),
         ("channel.tx_power_dbm=33000", "channel: tx_power_dbm too high"),
         ("channel.path_loss_exponent=-400", "channel: path_loss_exponent must be non-negative"),
+        ("name=a/b", "name: 'a/b' cannot be part of a file name"),
+        ('name="a\\0b"', "name: 'a\\x00b' cannot be part of a file name"),
     ],
 )
 def test_run_rejects_the_document_before_running(tmp_path, capsys, override, message):

@@ -7,7 +7,9 @@ from brsim.channel import ChannelParams
 from brsim.engine import TimerFire
 from brsim.frame import Ack, DstBcast, Response, Routing
 from brsim.metrics import Outcome
-from brsim.protocol import AWAIT_ACK, AWAIT_RESPONSES, BACKOFF, IDLE, PacketMeta, ResponseRecord
+from brsim.protocol import PacketMeta, ResponseRecord
+from brsim.scenario import load_scenario
+from brsim.simulation import run_scenario
 
 from conftest import make_sim
 
@@ -183,16 +185,22 @@ def queue_packet(node, uid=1):
     return node.queue[0]
 
 
+def await_ack(node, target=1):
+    """Put the queue head's hop into its ack wait, as sending the Routing frame does."""
+    node.in_hop = True
+    node.current_target = target
+    node._arm("ack", node.sim.engine.now + node.params.ack_wait_ms, ref=node.queue[0].uid)
+
+
 def test_ack_completes_hop():
     sim = br_sim()
     node = sim.nodes[0]
     pending = queue_packet(node)
     pending.attempts = 2
-    node.phase = AWAIT_ACK
-    node.current_target = 1
+    await_ack(node)
     node.on_frame(Ack(1), tx=1, uid=None, measured=-50)
     assert not node.queue
-    assert node.phase == IDLE
+    assert not node.in_hop and node._timer is None
     [hop] = sim.metrics.hops
     assert hop.success and hop.attempts == 3
     assert (hop.sender, hop.receiver, hop.uid) == (0, 1, 1)
@@ -203,10 +211,20 @@ def test_ack_from_wrong_node_ignored():
     sim = br_sim()
     node = sim.nodes[0]
     queue_packet(node)
-    node.phase = AWAIT_ACK
-    node.current_target = 1
+    await_ack(node)
     node.on_frame(Ack(2), tx=2, uid=None, measured=-50)
-    assert node.queue and node.phase == AWAIT_ACK
+    assert node.queue and node._timer.tag == "ack"
+
+
+def test_ack_during_the_retry_backoff_ignored():
+    sim = br_sim()
+    node = sim.nodes[0]
+    pending = queue_packet(node)
+    await_ack(node)
+    node.on_timer(node._timer)  # the wait runs out: the hop backs off
+    node.on_frame(Ack(1), tx=1, uid=None, measured=-50)  # from the receiver, too late
+    assert list(node.queue) == [pending] and pending.attempts == 1
+    assert node._timer.tag == "backoff"
 
 
 def test_beb_windows_double_then_saturate():
@@ -220,7 +238,7 @@ def test_beb_windows_double_then_saturate():
         node.current_target = 1
         node.beb_backoff()
         assert pending.attempts == attempt
-        assert node.phase == BACKOFF
+        assert node._timer.tag == "backoff"
         (at, ev) = scheduled(sim, "backoff")[-1]
         assert ev.ref == pending.uid
         delay = at - sim.engine.now
@@ -234,13 +252,12 @@ def test_beb_exhaustion_drops_with_failed_hop():
     sim._generate_packet(0)
     pending = node.queue[0]
     pending.attempts = sim.br_params.max_tx_attempts  # 8 failures already
-    node.phase = AWAIT_ACK
-    node.current_target = 1
+    await_ack(node)
     node.beb_backoff()
     assert sim.metrics.outcomes[0].reason == "max_attempts"
     assert sim.metrics.outcomes[0].time_ms == sim.engine.now
     assert not node.queue
-    assert node.phase == IDLE
+    assert not node.in_hop
     [hop] = sim.metrics.hops
     assert not hop.success
     assert hop.attempts == 9
@@ -263,9 +280,7 @@ def test_stale_ack_timer_does_nothing():
     sim = br_sim()
     node = sim.nodes[0]
     pending = queue_packet(node)
-    node.phase = AWAIT_ACK
-    node.current_target = 1
-    node._arm("ack", sim.engine.now + 5, ref=1)
+    await_ack(node)
     stale = node._timer
     node._arm("ack", sim.engine.now + 9, ref=1)
     node.on_timer(stale)
@@ -279,15 +294,13 @@ def test_ack_timer_ignored_outside_await_ack():
     node = sim.nodes[0]
     queue_packet(node, uid=1)
     queue_packet(node, uid=2)
-    node.phase = AWAIT_ACK
-    node.current_target = 1
-    node._arm("ack", sim.engine.now + 5, ref=1)
+    await_ack(node)
     timer = node._timer
     node.on_frame(Ack(1), tx=1, uid=None, measured=-50)  # the Ack ends the hop first
     node.on_timer(timer)
     [waiting] = node.queue
     assert (waiting.uid, waiting.attempts) == (2, 0)
-    assert node.phase == IDLE
+    assert not node.in_hop
     assert scheduled(sim, "backoff") == []
 
 
@@ -336,16 +349,26 @@ def test_destination_always_responds():
     assert len(scheduled(sim, "respond")) == 1
 
 
-def test_response_collection_gated_by_phase_and_owner():
+def test_late_response_never_reaches_selection():
     sim = br_sim()
     node = sim.nodes[0]
-    node.phase = AWAIT_RESPONSES
+    offered = []
+
+    def select(meta, responses):
+        offered.append(list(responses))
+        return 1
+
+    node.select_next_hop = select
+    queue_packet(node)
+    node._start_handshake()
     node.on_frame(Response(0, 1, -61), tx=1, uid=None, measured=-55)
     node.on_frame(Response(9, 1, -61), tx=1, uid=None, measured=-55)  # someone else's
-    assert node.responses == [ResponseRecord(1, -61, -55)]
-    node.phase = IDLE
-    node.on_frame(Response(0, 1, -58), tx=1, uid=None, measured=-55)
-    assert len(node.responses) == 1
+    node.on_timer(node._timer)  # the window closes: the packet goes to 1
+    node.on_frame(Response(0, 1, -58), tx=1, uid=None, measured=-55)  # too late
+    node.on_timer(node._timer)  # no Ack: the hop backs off
+    node.on_timer(node._timer)  # the retry opens a fresh window
+    node.on_timer(node._timer)  # which closes unanswered
+    assert offered == [[ResponseRecord(1, -61, -55)], []]
 
 
 def test_beacon_reading_latest_wins():
@@ -383,20 +406,13 @@ def test_transmit_epoch_starts_queued_handshake():
     sim = br_sim(br=BrParams(relay_probability=0.0))
     node = sim.nodes[0]
     queue_packet(node, uid=3)
-    assert node.phase == IDLE
+    assert not node.in_hop
     node.on_epoch()
-    assert node.phase == AWAIT_RESPONSES
+    assert node.in_hop
     assert 0 in sim._tx[sim.engine.now]  # RTS on the air
     [(at, ev)] = scheduled(sim, "select")
     assert at == sim.engine.now + sim.br_params.response_wait_ms
     assert ev.ref == 3
-
-
-def test_destination_takes_no_epochs():
-    sim = br_sim()
-    dst = sim.nodes[2]
-    dst.on_epoch()
-    assert dst.listening is False
 
 
 # ---- the shared hop, under both protocols ---------------------------------------------
@@ -423,7 +439,7 @@ def test_hop_waits_run_from_the_on_air_tick(protocol):
     if protocol == "br":
         node._start_handshake()  # BR would wait for a transmit epoch
     rts_at = run_to_on_air(sim, node)
-    assert node.phase == AWAIT_RESPONSES
+    assert node.in_hop and node._timer.tag == "select"
     [(select_at, ev)] = scheduled(sim, "select")
     assert select_at == rts_at + sim.br_params.response_wait_ms
     assert ev.ref == 7
@@ -432,7 +448,7 @@ def test_hop_waits_run_from_the_on_air_tick(protocol):
     routing_at = run_to_on_air(sim, node)
     [record] = sim.metrics.routing_log
     assert (record.time_ms, record.sender, record.uid) == (routing_at, 0, 7)
-    assert node.phase == AWAIT_ACK
+    assert node._timer.tag == "ack"
     assert node.current_target == record.receiver
     [(ack_at, ev)] = scheduled(sim, "ack")
     assert ack_at == routing_at + sim.br_params.ack_wait_ms
@@ -455,3 +471,16 @@ def test_three_node_chain_delivers_via_relay():
         for hop in metrics.hops:
             if hop.success:
                 assert hop.attempts >= 1
+
+
+@pytest.mark.parametrize("protocol", ["br", "aodv"])
+@pytest.mark.parametrize("ack_wait_ms, acked", [(2, 0), (3, 12)])
+def test_an_ack_after_the_ack_wait_is_ignored(protocol, ack_wait_ms, acked):
+    # An Ack reaches the sender two ticks after its Routing frame went on the
+    # air. With a 2 ms wait it lands on the deadline tick, where the ack timer,
+    # scheduled first, has already sent the hop into backoff.
+    overrides = ["topology.count=5", "traffic.packets_per_source=3"]
+    scenario = load_scenario("tandem12", [*overrides, f"br.ack_wait_ms={ack_wait_ms}"])
+    hops = run_scenario(scenario, protocol, 0).hops
+    assert len(hops) == 12
+    assert sum(hop.success for hop in hops) == acked

@@ -1,6 +1,7 @@
 """Scenario documents: bundled files, generators, validation, overrides."""
 
 import math
+import os
 
 import pytest
 
@@ -178,6 +179,9 @@ def test_sources_all_excludes_destination():
         (lambda r: r.pop("horizon_s"), "exactly one"),
         (lambda r: r.update(horizon_s=0), "must be positive"),
         (lambda r: r.update(protocol="tcp"), "protocol"),
+        (lambda r: r.update(name="a/b"), "name: 'a/b' cannot be part of a file name"),
+        (lambda r: r.update(name="a\0b"), "name: .* cannot be part of a file name"),
+        (lambda r: r.update(name=os.sep), "name: .* cannot be part of a file name"),
         (lambda r: r.pop("topology"), "topology: required"),
         (lambda r: r.pop("traffic"), "traffic: required"),
         (lambda r: r["topology"].update(generator="tandem", count=4), "not both"),
