@@ -3,15 +3,18 @@
 Every station flips a coin at the start of each decision epoch: with
 probability p it listens (and may relay for others), otherwise it transmits
 any queued data of its own. Each station keeps its own epoch grid: a uniform
-offset in [0, epoch_ms), then one epoch every epoch_ms. Forwarding is greedy
-on the responders' stored destination RSSI; when no responder beats the
-sender's own reading, or nobody answered at all, the node shoots directly at
-the destination. Once a packet has travelled more than loop_threshold hops,
+offset in [0, epoch_ms), then one epoch every epoch_ms (in an untraced run
+an idle station skips the epochs it need not run; see on_epoch). Forwarding
+is greedy on the responders' stored destination RSSI; when no responder
+beats the sender's own reading, or nobody answered at all, the node shoots
+directly at the destination. Once a packet has travelled more than loop_threshold hops,
 stations it already passed through are excluded from the candidate set.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .engine import MAX_BOUND, DecisionEpoch
@@ -74,10 +77,13 @@ class BrNode(RadioNode):
         # degenerate probabilities behave exactly from t = 0 onward. The
         # first epoch's offset is drawn next.
         self.listening = False
+        self.may_park = False  # see allow_parking
+        self._parked_at: int | None = None  # the last epoch's tick while parked
         if not self.is_destination:
             engine, p = sim.engine, self.params
             self.listening = engine.bernoulli(self.id, p.relay_probability)
-            engine.schedule(engine.draw_uniform(self.id, p.epoch_ms), DecisionEpoch(self.id))
+            self.offset = engine.draw_uniform(self.id, p.epoch_ms)
+            engine.schedule(self.offset, DecisionEpoch(self.id))
 
     # ---- epoch ------------------------------------------------------------
 
@@ -89,12 +95,64 @@ class BrNode(RadioNode):
         own data. The next epoch is scheduled last, so a timer armed here wins
         a same-tick tie with it. The destination takes no epochs: none is
         ever scheduled for it.
+
+        A station that may park and holds no packet after its coin parks
+        instead: it schedules no next epoch, since until it is woken its
+        epochs would only redraw a coin that nothing reads. It keeps its
+        grid and catches up on the coins it missed when it is read (on_rts)
+        or woken (wake).
         """
         engine = self.sim.engine
         self.listening = engine.bernoulli(self.id, self.params.relay_probability)
-        if not self.listening and self.queue and not self.in_hop:
-            self._start_handshake()
+        if self.queue:
+            if not self.listening and not self.in_hop:
+                self._start_handshake()
+        elif self.may_park:
+            self._parked_at = engine.now
+            engine.parked[self.offset] = self
+            return
         engine.schedule(engine.now + self.params.epoch_ms, DecisionEpoch(self.id))
+
+    def _catch_up(self) -> None:
+        """Draw the coins of the grid epochs that ran while parked; stay parked.
+
+        An epoch at the current tick counts as run if the event being
+        processed was scheduled later than the eager epoch was, at
+        now - epoch_ms. An event scheduled at that same tick comes before the
+        epoch: engine.schedule wakes a parked clock before it files an event
+        one period ahead onto the clock's grid.
+        """
+        engine = self.sim.engine
+        period = self.params.epoch_ms
+        now = engine.now
+        last = now - (now - self.offset) % period  # the latest grid tick up to now
+        if last == now and engine.since <= now - period:
+            last -= period
+        missed = (last - self._parked_at) // period
+        if missed > 0:
+            stream = engine.stream(self.id)
+            for _ in range(missed - 1):
+                stream.next_u64()  # a coin is one draw, and only the last is read
+            self.listening = stream.bernoulli(self.params.relay_probability)
+            self._parked_at = last
+
+    def wake(self) -> None:
+        """Catch up, then schedule the next grid epoch where it would have run."""
+        self._catch_up()
+        engine = self.sim.engine
+        del engine.parked[self.offset]
+        last, self._parked_at = self._parked_at, None
+        engine.schedule(last + self.params.epoch_ms, DecisionEpoch(self.id), since=last)
+
+    def on_rts(self, tx: int) -> None:
+        if self._parked_at is not None:
+            self._catch_up()
+        super().on_rts(tx)
+
+    def enqueue(self, meta: PacketMeta) -> None:
+        if self._parked_at is not None:
+            self.wake()
+        super().enqueue(meta)
 
     # ---- channel access -------------------------------------------------------
 
@@ -129,3 +187,15 @@ class BrNode(RadioNode):
         if self.dst_rssi is not None and self.dst_rssi >= best.dst_rssi:
             return self.destination
         return best.responder
+
+
+def allow_parking(nodes: Iterable[BrNode]) -> None:
+    """Let every station whose epoch offset no other station shares park.
+
+    Epochs that share a tick run in node-id order, which a woken epoch,
+    pushed after the fact, could not keep.
+    """
+    stations = [n for n in nodes if not n.is_destination]
+    shared = Counter(n.offset for n in stations)
+    for n in stations:
+        n.may_park = shared[n.offset] == 1

@@ -170,7 +170,10 @@ def _overflows(dbm: float) -> bool:
 
 
 class LinkCache:
-    """The link table of one static topology, built once per run.
+    """The link table of one static topology and channel.
+
+    A Simulation builds it once per scenario: runs given the same Scenario
+    object in a row share one table, since no run changes it.
 
     Holds every ordered pair's RSSI and its linear power, and for each
     transmitter the receivers that decode its data frames (`hearers`) and its

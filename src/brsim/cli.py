@@ -102,6 +102,26 @@ class RunError(Exception):
     """A run that raised; the message names the run. `main` exits 1 on it."""
 
 
+def _stem(scenario: Scenario, protocol: str, tag: str, seed: int) -> str:
+    """The start of every file name a run writes."""
+    return "_".join(filter(None, (scenario.name, protocol, tag, f"seed{seed}")))
+
+
+def _check_file_names(out: str, names: list[str]) -> None:
+    """Fail before any run if a file to be written has too long a name.
+
+    Only the scenario's free-form name can make one too long.
+    """
+    limit = os.pathconf(out, "PC_NAME_MAX")
+    longest = max(names, key=lambda name: len(os.fsencode(name)))
+    size = len(os.fsencode(longest))
+    if size > limit:
+        raise UsageError(
+            f"name: too long for a file name: {longest[:40]!r}... has {size} bytes,"
+            f" {out} allows {limit}"
+        )
+
+
 def _each_run(
     jobs: list[tuple], tags: list[str], out: str, workers: int = 1
 ) -> Iterator[tuple[str, str, RunMetrics]]:
@@ -118,7 +138,7 @@ def _each_run(
         except Exception as exc:
             where = (f"scenario={scenario.name}", tag, f"protocol={protocol}", f"seed={seed}")
             raise RunError(f"{' '.join(filter(None, where))}: {exc}") from exc
-        stem = "_".join(filter(None, (scenario.name, protocol, tag, f"seed{seed}")))
+        stem = _stem(scenario, protocol, tag, seed)
         if trace:
             with open(os.path.join(out, f"{stem}.trace"), "w", encoding="utf-8") as fh:
                 for line in run.trace:
@@ -131,6 +151,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, args.set)
     jobs = [(scenario, p, args.seed, args.trace) for p in _protocols(scenario, args.protocol)]
     os.makedirs(args.out, exist_ok=True)
+    # a trace file's name is shorter than the hop file's of the same run
+    hop_files = [f"{_stem(scenario, p, '', args.seed)}_hops.tsv" for _, p, _, _ in jobs]
+    _check_file_names(args.out, ["summary.csv", *hop_files])
     runs = []
     for _, stem, run in _each_run(jobs, [""] * len(jobs), args.out):
         write_hop_trace(run, os.path.join(args.out, f"{stem}_hops.tsv"))
@@ -172,6 +195,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 tags.append(tag)
 
     os.makedirs(args.out, exist_ok=True)
+    names = [name for name, _ in sheet_of.values()]
+    if args.trace:
+        names += [
+            f"{_stem(scenario, protocol, tag, seed)}.trace"
+            for (scenario, protocol, seed, _), tag in zip(jobs, tags)
+        ]
+    _check_file_names(args.out, names)
     # a sheet's runs are contiguous: each is folded into its summary as it arrives
     sheets = [
         (sheet, summarize(run for _, _, run in runs))

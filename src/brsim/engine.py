@@ -1,9 +1,21 @@
 """Deterministic discrete-event core: millisecond clock, FIFO-stable heap, RNG.
 
 Time is an unsigned integer count of simulated milliseconds. Events pop in
-(time, seq) order, where seq is the global schedule order, so same-tick events
-process in the order they were scheduled. Scheduling into the past raises
+(time, since, seq) order: since is the tick at which the event was scheduled
+and seq the global schedule order, so same-tick events process in the order
+they were scheduled (seq grows with since). Scheduling into the past raises
 PastEventError.
+
+The since key lets a parked epoch clock rejoin the order. A station whose
+decision epochs only redraw an idle coin may stop scheduling them (see
+`BrNode.on_epoch`). When it wakes, it pushes its next epoch at tick t with
+since = t - grid_ms, the tick at which an eager clock would have scheduled
+it. Among the events scheduled during that tick for tick t, an eager epoch
+would sit by seq, so an event scheduled exactly grid_ms ahead onto a parked
+clock's grid first wakes that clock (`schedule`). The clock's next epoch is
+then in the heap before the event, as an eager one would be: the epoch at t
+itself if this tick's epoch has run, else this tick's epoch, which goes on
+to schedule the one at t after the event.
 
 Randomness comes from per-node xorshift64* streams so one node's draws never
 perturb another's. The generator is fully specified by its update equations
@@ -152,29 +164,45 @@ class Engine:
         self.trace = trace
         self.now = 0
         self.processed = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self.since = 0  # the tick at which the event being processed was scheduled
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._seq = 0
         self._streams: dict[int, RngStream] = {}
+        # parked epoch clocks, each with a wake() method, by their grid's
+        # residue modulo the one period they all share
+        self.grid_ms = 0
+        self.parked: dict = {}
 
-    def schedule(self, time: int, event: Event) -> None:
-        if time < self.now:
-            raise PastEventError(f"cannot schedule at {time}, current time is {self.now}")
-        heapq.heappush(self._heap, (time, self._seq, event))
+    def schedule(self, time: int, event: Event, since: int | None = None) -> None:
+        """Push an event; `since` defaults to now (see the module docstring)."""
+        now = self.now
+        if time < now:
+            raise PastEventError(f"cannot schedule at {time}, current time is {now}")
+        if time - now == self.grid_ms and self.parked:
+            clock = self.parked.get(time % self.grid_ms)
+            if clock is not None:
+                clock.wake()
+        heapq.heappush(self._heap, (time, now if since is None else since, self._seq, event))
         self._seq += 1
 
     def pending(self) -> int:
         return len(self._heap)
 
+    def pending_events(self) -> list[tuple[int, Event]]:
+        """(time, event) for every pending event, in the order they will run."""
+        return [(entry[0], entry[-1]) for entry in sorted(self._heap)]
+
     def run_until(self, horizon: int, handler: Callable[[Event], None] | None = None) -> int:
-        """Process events with time <= horizon in (time, seq) order.
+        """Process events with time <= horizon in (time, since, seq) order.
 
         Returns the number processed. On return, now == horizon.
         """
         start = self.processed
         while self._heap and self._heap[0][0] <= horizon:
-            time, _, event = heapq.heappop(self._heap)
+            time, since, _, event = heapq.heappop(self._heap)
             assert time >= self.now, "event popped out of order"
             self.now = time
+            self.since = since
             self.processed += 1
             if self.trace is not None:
                 kind, node, detail = describe_event(event)

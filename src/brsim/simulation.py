@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .baseline import AodvNode
-from .br_node import BrNode
+from .br_node import BrNode, allow_parking
 from .channel import LinkCache
 from .engine import (
     BeaconTick,
@@ -41,6 +41,19 @@ _EMPTY: frozenset[int] = frozenset()
 
 _NODE_CLASSES = {"br": BrNode, "aodv": AodvNode}
 
+# The link table of the scenario run last. It depends only on the topology
+# and the channel, and no run changes it, so the runs of one scenario, which
+# sweeps make one after another, share it. One slot keeps a sweep from
+# holding a table per sheet value.
+_last_link: tuple[object, LinkCache] | None = None
+
+
+def _link_table(scenario) -> LinkCache:
+    global _last_link
+    if _last_link is None or _last_link[0] is not scenario:
+        _last_link = (scenario, LinkCache(scenario.topology, scenario.channel))
+    return _last_link[1]
+
 
 class Simulation:
     """One protocol, one scenario, one seed."""
@@ -53,7 +66,7 @@ class Simulation:
         self.topology = scenario.topology
         self.br_params = scenario.br
         self.csma_params = scenario.csma
-        self.link = LinkCache(self.topology, scenario.channel)
+        self.link = _link_table(scenario)
         self.engine = Engine(seed, trace=[] if trace else None)
         self.metrics = RunMetrics(
             protocol, len(self.topology.nodes), seed, trace=self.engine.trace
@@ -196,7 +209,7 @@ class Simulation:
     def run(self) -> RunMetrics:
         """Run to the horizon; when untraced, skip events that change nothing.
 
-        An untraced run leaves out two kinds of event that cannot change
+        An untraced run leaves out three kinds of event that cannot change
         generated, outcomes, hops or routing_log. A traced run keeps every
         event, because its trace records them.
 
@@ -207,6 +220,13 @@ class Simulation:
           already holds a destination reading would store the same value
           again. The beacon still occupies the channel, so collisions and
           carrier sense are unchanged.
+        - Idle decision epochs (br): a station with an empty queue parks its
+          epoch clock (BrNode.on_epoch). Such an epoch only redraws the
+          listen coin, which only an RTS reads. The station draws the coins
+          it missed, in order, on its own stream before an RTS reads them
+          or a packet wakes it, so every draw and every other event keep
+          their order. A woken epoch takes the place in the event order
+          that the eager one would have held (see the engine module).
 
         Outcomes are written as they happen, so nothing is left to assign
         once the event loop returns.
@@ -216,6 +236,9 @@ class Simulation:
         counting alone instead of waiting for a cyclic garbage collection.
         """
         self._stop_when_idle = self.engine.trace is None
+        if self._stop_when_idle and self.protocol == "br":
+            allow_parking(self.nodes.values())
+            self.engine.grid_ms = self.br_params.epoch_ms
         self._stop_if_idle()
         self.engine.run_until(self.scenario.horizon_ms, self._handle)
         for node in self.nodes.values():

@@ -28,7 +28,7 @@ def rr(responder, dst_rssi, link_rssi):
 def scheduled(sim, tag):
     return [
         (t, ev)
-        for t, _, ev in sorted(sim.engine._heap)
+        for t, ev in sim.engine.pending_events()
         if isinstance(ev, TimerFire) and ev.tag == tag
     ]
 

@@ -117,6 +117,27 @@ def test_run_rejects_the_document_before_running(tmp_path, capsys, override, mes
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--protocol", "br"],
+        ["sweep", "--nodes", "5..5", "--seeds", "1", "--jobs", "1", "--trace"],
+    ],
+)
+def test_a_name_too_long_for_a_file_fails_before_any_run(
+    tmp_path, capsys, monkeypatch, command
+):
+    started = []
+    monkeypatch.setattr(brsim.cli, "run_many", lambda *a, **k: started.append(a))
+    code = run_cli(
+        *command, "--scenario", "tandem12", "--out", str(tmp_path), "--set", "name=" + "a" * 300
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: name: too long for a file name")
+    assert started == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_bad_channel_value_exits_2_naming_the_field(tmp_path, capsys):
     code = run_cli(
         "run", "--scenario", "tandem12", "--out", str(tmp_path),

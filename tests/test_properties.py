@@ -136,7 +136,7 @@ def test_each_wait_keeps_its_one_timer(sim):
 
     def checked(ev):
         handle(ev)
-        timers = [e for _, _, e in sim.engine._heap if isinstance(e, TimerFire)]
+        timers = [e for _, e in sim.engine.pending_events() if isinstance(e, TimerFire)]
         if sim.protocol == "aodv":
             csma = Counter(t.node for t in timers if t.tag in ("cca", "csma-idle"))
             for node in sim.nodes.values():

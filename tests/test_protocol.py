@@ -30,7 +30,7 @@ def rr(responder, dst_rssi, link_rssi=-50):
 
 
 def scheduled(sim, tag=None):
-    events = [(t, ev) for t, _, ev in sorted(sim.engine._heap)]
+    events = sim.engine.pending_events()
     if tag is None:
         return events
     return [(t, ev) for t, ev in events if isinstance(ev, TimerFire) and ev.tag == tag]

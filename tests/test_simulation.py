@@ -9,7 +9,7 @@ from test_acceptance import SWEEP_OVERRIDES
 
 from brsim import simulation
 from brsim.channel import ChannelParams
-from brsim.engine import Event, FrameArrival
+from brsim.engine import BeaconTick, Event, FrameArrival, describe_event
 from brsim.frame import DstBcast, MessageType, Routing
 from brsim.scenario import build_scenario, load_scenario
 from brsim.simulation import _DISPATCH, Simulation, run_many, run_scenario
@@ -516,15 +516,19 @@ def test_untraced_runs_without_repeat_beacons_behave_as_traced_runs(name, protoc
 def _beacon_arrivals(scenario, trace):
     """Run once; for each beacon arrival scheduled, whether rx held a reading."""
     sim = Simulation(scenario, "br", 0, trace=trace)
-    schedule = sim.engine.schedule
+    handle = sim._handle
     held = []
 
-    def recording_schedule(time, ev):
-        if isinstance(ev, FrameArrival) and ev.frame.type is MessageType.DST_BCAST:
-            held.append(sim.nodes[ev.rx].dst_rssi is not None)
-        schedule(time, ev)
+    def recording(ev):
+        handle(ev)
+        if isinstance(ev, BeaconTick):  # it just scheduled its arrivals
+            held.extend(
+                sim.nodes[a.rx].dst_rssi is not None
+                for _, a in sim.engine.pending_events()
+                if isinstance(a, FrameArrival) and a.frame.type is MessageType.DST_BCAST
+            )
 
-    sim.engine.schedule = recording_schedule
+    sim._handle = recording
     sim.run()
     return held
 
@@ -535,6 +539,92 @@ def test_untraced_runs_send_beacons_only_to_stations_without_a_reading():
     assert untraced and not any(untraced)
     # a traced run keeps the repeat arrivals, because its trace records them
     assert any(_beacon_arrivals(scenario, trace=True))
+
+
+# ---- parked epoch clocks ----------------------------------------------------------
+
+
+def _forced_ties(epoch_ms, count=8, **br):
+    """Every station a source on a short chain, with br waits on the epoch grid.
+
+    Short epochs and dense traffic make a parked station's grid tick meet
+    other events often, and waits of whole epochs schedule events exactly
+    one epoch ahead, onto the grids of parked stations.
+    """
+    overrides = [
+        f"topology.count={count}",
+        "traffic.sources=all",
+        "traffic.start_ms=0",
+        "traffic.packets_per_source=4",
+        f"traffic.inter_arrival_ms={7 * epoch_ms}",
+        f"horizon_ms={400 * epoch_ms}",
+        f"br.epoch_ms={epoch_ms}",
+        *(f"br.{field}={value}" for field, value in br.items()),
+    ]
+    return load_scenario("tandem12", overrides=overrides)
+
+
+PARKING_TIES = {
+    "ack_wait=epoch": lambda: _forced_ties(13, ack_wait_ms=13, response_wait_ms=14, slot_ms=1),
+    "response_wait=epoch": lambda: _forced_ties(5, response_wait_ms=5, ack_wait_ms=10, slot_ms=1),
+    "2 slots=epoch": lambda: _forced_ties(40, slot_ms=20, response_wait_ms=40, ack_wait_ms=80),
+    "epoch 3": lambda: _forced_ties(3, ack_wait_ms=3, response_wait_ms=4, slot_ms=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARKING_TIES))
+def test_untraced_runs_with_parked_epochs_behave_as_traced_runs(name):
+    scenario = PARKING_TIES[name]()
+    for seed in range(12):
+        quick, full = _untraced_and_traced(scenario, "br", seed)
+        _same_behaviour(quick, full)
+
+
+def test_parked_epochs_keep_the_order_of_same_tick_epochs():
+    # nodes 4 and 6 share an epoch tick at 114,648 ms: a woken epoch filed
+    # after the other would swap them and change the hops
+    scenario = load_scenario("tandem12", overrides=["topology.count=15", *SWEEP_OVERRIDES])
+    quick, full = _untraced_and_traced(scenario, "br", 77)
+    _same_behaviour(quick, full)
+
+
+def _events(scenario, seed, park):
+    """Every event an untraced br run processes, as (time, kind, node, detail)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not park:
+            patch.setattr(simulation, "allow_parking", lambda nodes: None)
+        sim = Simulation(scenario, "br", seed)
+        handle = sim._handle
+        seen = []
+
+        def recording(ev):
+            seen.append((sim.engine.now, *describe_event(ev)))
+            handle(ev)
+
+        sim._handle = recording
+        sim.run()
+    return seen
+
+
+def test_parked_epochs_leave_every_other_event_in_place():
+    """Parking only removes epochs: the rest run in the same order as without it."""
+    scenario = _forced_ties(10, count=10, response_wait_ms=10, ack_wait_ms=10, slot_ms=1)
+    for seed in range(8):
+        parked = _events(scenario, seed, park=True)
+        eager = _events(scenario, seed, park=False)
+        assert [e for e in parked if e[1] != "epoch"] == [e for e in eager if e[1] != "epoch"]
+        rest = iter(eager)
+        assert all(any(e == f for f in rest) for e in parked), "an epoch moved"
+        assert len(parked) < len(eager)
+
+
+def test_runs_of_one_scenario_share_one_link_table():
+    one, other = chain_scenario(), chain_scenario()
+    first = Simulation(one, "br", 0).link
+    assert Simulation(one, "aodv", 1).link is first
+    assert Simulation(other, "br", 0).link is not first
+    # only the last scenario's table is kept
+    assert Simulation(one, "br", 0).link is not first
 
 
 def test_every_event_type_has_a_handler():
