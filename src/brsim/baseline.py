@@ -40,8 +40,9 @@ class CsmaParams:
             raise ValueError("max_backoff_exponent must be at most 64")
         if self.max_csma_backoffs < 0:
             raise ValueError("max_csma_backoffs must be non-negative")
-        if self.cca_ms < 1 or self.slot_ms < 1:
-            raise ValueError("cca_ms and slot_ms must be at least 1 ms")
+        for name in ("cca_ms", "slot_ms"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1 ms")
 
 
 class AodvNode(RadioNode):

@@ -172,8 +172,10 @@ def _overflows(dbm: float) -> bool:
 class LinkCache:
     """The link table of one static topology and channel.
 
-    A Simulation builds it once per scenario: runs given the same Scenario
-    object in a row share one table, since no run changes it.
+    No run changes it, and equal topology and channel build equal tables,
+    so a run reuses the table of the run before it when their (topology,
+    channel) pairs are equal by value: the seeds, the pooled copies and the
+    `--p` sheets of one floor share one table.
 
     Holds every ordered pair's RSSI and its linear power, and for each
     transmitter the receivers that decode its data frames (`hearers`) and its

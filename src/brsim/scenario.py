@@ -72,13 +72,13 @@ class TrafficSpec:
 
     def __post_init__(self) -> None:
         if not self.sources:
-            raise ValueError("traffic.sources must not be empty")
+            raise ValueError("sources must not be empty")
         if self.packets_per_source < 1:
-            raise ValueError("traffic.packets_per_source must be at least 1")
+            raise ValueError("packets_per_source must be at least 1")
         if self.inter_arrival_ms < 1:
-            raise ValueError("traffic.inter_arrival_ms must be positive")
+            raise ValueError("inter_arrival_ms must be positive")
         if self.start_ms < 0:
-            raise ValueError("traffic.start_ms must not be negative")
+            raise ValueError("start_ms must not be negative")
 
 
 @dataclass(frozen=True)

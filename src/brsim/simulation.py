@@ -20,6 +20,7 @@ it as unresolved at the horizon, and `deliver` and `drop` overwrite that.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 
 from .baseline import AodvNode
@@ -41,17 +42,17 @@ _EMPTY: frozenset[int] = frozenset()
 
 _NODE_CLASSES = {"br": BrNode, "aodv": AodvNode}
 
-# The link table of the scenario run last. It depends only on the topology
-# and the channel, and no run changes it, so the runs of one scenario, which
-# sweeps make one after another, share it. One slot keeps a sweep from
-# holding a table per sheet value.
-_last_link: tuple[object, LinkCache] | None = None
+# The link table run last, kept with the (topology, channel) pair it is built
+# from. Runs whose pair is equal by value share it (pooled copies, --p sheets,
+# seeds); no run changes it. One slot holds one table, not one per size.
+_last_link: tuple[tuple, LinkCache] | None = None
 
 
 def _link_table(scenario) -> LinkCache:
     global _last_link
-    if _last_link is None or _last_link[0] is not scenario:
-        _last_link = (scenario, LinkCache(scenario.topology, scenario.channel))
+    key = (scenario.topology, scenario.channel)
+    if _last_link is None or _last_link[0] != key:  # tuple == tries `is` first
+        _last_link = (key, LinkCache(*key))
     return _last_link[1]
 
 
@@ -293,9 +294,12 @@ def run_many(jobs: list[tuple], max_workers: int = 1) -> Iterator[RunMetrics]:
 
     Results are identical regardless of worker count: every run is seeded
     independently and shares no mutable state. Serially, a job runs only when
-    its result is asked for; a pool starts at most one worker per job. A
-    failed run raises its own exception, so a caller that counts the results
-    it has taken knows which job failed.
+    its result is asked for. A pool starts at most one worker per job and
+    looks ahead a bounded window: it submits one job at a time and keeps at
+    most two per worker in flight, so it never holds more untaken results
+    than that. A failed run raises its own exception, so a caller that
+    counts the results it has taken knows which job failed; no job past the
+    window has started, and those still waiting in it are cancelled.
     """
     workers = min(max_workers, len(jobs))
     if workers <= 1:
@@ -304,5 +308,14 @@ def run_many(jobs: list[tuple], max_workers: int = 1) -> Iterator[RunMetrics]:
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run_scenario, *zip(*jobs), chunksize=1)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    window: deque = deque()
+    try:
+        for job in jobs:
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(run_scenario, *job))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -5,7 +5,9 @@ generated packet exactly one outcome, keep wire hop counts within the hard
 cap, never hand a long-travelled `br` packet back to a station that already
 forwarded it, and let the first delivery beat any drop of the same packet,
 otherwise the first drop stand. Each wait, too, keeps exactly the timers it
-needs in flight.
+needs in flight. And an untraced run, which skips events that change
+nothing, must give the results of the traced run of the same scenario and
+seed, on floors whose timing forces same-tick ties.
 """
 
 from collections import Counter, defaultdict
@@ -13,11 +15,13 @@ from collections import Counter, defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brsim.baseline import CsmaParams
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams
 from brsim.engine import TimerFire
+from brsim.simulation import Simulation
 
-from conftest import make_sim
+from conftest import NO_INTERFERENCE, make_scenario, make_sim
 
 # lengths in 10 cm steps
 gap = st.integers(15, 60).map(lambda dm: dm / 10.0)
@@ -147,3 +151,51 @@ def test_each_wait_keeps_its_one_timer(sim):
 
     sim._handle = checked
     sim.run()
+
+
+@st.composite
+def tied_scenarios(draw):
+    """A small chain whose waits and gaps land on, or next to, the epoch grid.
+
+    Short epochs put several stations on one epoch tick, and waits of about
+    one epoch schedule events onto the grid ticks of parked stations, so
+    the same-tick orders that every untraced skip must keep come up often.
+    """
+    epoch = draw(st.integers(3, 40))
+    near = st.sampled_from([epoch - 1, epoch, epoch + 1, 2 * epoch])
+    n = draw(st.integers(3, 8))
+    positions = {i: (i * draw(gap), draw(across)) for i in range(n)}
+    br = BrParams(
+        relay_probability=draw(st.sampled_from([0.0, 0.3, 0.73, 1.0])),
+        epoch_ms=epoch,
+        response_wait_ms=draw(near),
+        ack_wait_ms=draw(near),
+        slot_ms=draw(st.sampled_from([1, epoch // 2, epoch])),
+        bcast_ms=draw(near),
+    )
+    csma = CsmaParams(cca_ms=draw(near), slot_ms=draw(st.sampled_from([1, epoch // 2, epoch])))
+    return make_scenario(
+        positions,
+        n - 1,
+        sources=draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=n - 1, unique=True)),
+        channel=ChannelParams(
+            tx_range_m=6.0, target_sir_db=draw(st.sampled_from([10.0, NO_INTERFERENCE]))
+        ),
+        br=br,
+        csma=csma,
+        packets_per_source=draw(st.integers(1, 4)),
+        inter_arrival_ms=draw(near),
+        start_ms=draw(st.integers(0, 2 * epoch)),
+        horizon_ms=500 * epoch,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_scenarios(), st.sampled_from(["br", "aodv"]), st.integers(0, 2**32 - 1))
+def test_untraced_runs_behave_as_traced_runs(scenario, protocol, seed):
+    """Every event an untraced run skips (after quiescence, repeat beacon
+    arrivals, parked br epochs) leaves its results as a traced run's."""
+    quick = Simulation(scenario, protocol, seed).run()
+    full = Simulation(scenario, protocol, seed, trace=True).run()
+    for field in ("generated", "outcomes", "hops", "routing_log"):
+        assert getattr(quick, field) == getattr(full, field), field

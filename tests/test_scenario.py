@@ -206,7 +206,8 @@ def test_sources_all_excludes_destination():
             lambda r: r.update(csma={"min_backoff_exponent": 6}),
             "csma: backoff exponents must satisfy 0 <= min <= max",
         ),
-        (lambda r: r.update(csma={"cca_ms": 0}), "csma: cca_ms and slot_ms must be at least 1 ms"),
+        (lambda r: r.update(csma={"cca_ms": 0}), "csma: cca_ms must be at least 1 ms"),
+        (lambda r: r.update(csma={"slot_ms": 0}), "csma: slot_ms must be at least 1 ms"),
         (lambda r: r.update(br={"epoch_ms": 0}), "br: epoch_ms must be positive"),
         (lambda r: r.update(br={"hard_hop_cap": 0}), "br: hard_hop_cap must be at least 1"),
         (lambda r: r.update(br={"epoch_ms": 2**64 + 1}), r"br: epoch_ms must be at most 2\*\*64"),
@@ -233,7 +234,16 @@ def test_sources_all_excludes_destination():
             "channel: station 0 cannot hold a reading .* out of range for int16: -40061",
         ),
         (lambda r: r.update(csma={"next_hop_metric": "link"}), "csma.next_hop_metric: unknown field"),
-        (lambda r: r.update(traffic={"sources": []}), "sources"),
+        (lambda r: r.update(traffic={"sources": []}), "traffic: sources must not be empty"),
+        (
+            lambda r: r["traffic"].update(packets_per_source=0),
+            "traffic: packets_per_source must be at least 1",
+        ),
+        (
+            lambda r: r["traffic"].update(inter_arrival_ms=0),
+            "traffic: inter_arrival_ms must be positive",
+        ),
+        (lambda r: r["traffic"].update(start_ms=-1), "traffic: start_ms must not be negative"),
         (lambda r: r.update(traffic={"sources": [9]}), "unknown node"),
         (lambda r: r.update(traffic={"sources": [1]}), "cannot source"),
         (lambda r: r.update(traffic={"sources": [0, 0]}), "traffic.sources: duplicate"),

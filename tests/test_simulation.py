@@ -1,14 +1,18 @@
 """World-model behaviour: tick-atomic radio, adjudication, determinism."""
 
+import dataclasses
 import gc
 import multiprocessing.process
+import os
 import typing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from test_acceptance import SWEEP_OVERRIDES
 
 from brsim import simulation
-from brsim.channel import ChannelParams
+from brsim.br_node import BrParams
+from brsim.channel import ChannelParams, LinkCache
 from brsim.engine import BeaconTick, Event, FrameArrival, describe_event
 from brsim.frame import DstBcast, MessageType, Routing
 from brsim.scenario import build_scenario, load_scenario
@@ -323,6 +327,33 @@ def test_run_many_yields_the_runs_before_a_failed_job_then_its_error():
         assert list(runs) == []
 
 
+def test_pooled_run_many_keeps_two_jobs_per_worker_in_flight(monkeypatch):
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def counting_submit(pool, fn, *job):
+        submitted.append(job[2])
+        return submit(pool, fn, *job)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    scenario = chain_scenario()
+    runs = run_many([(scenario, "br", s, False) for s in range(50)], max_workers=2)
+    assert next(runs).seed == 0
+    assert submitted == [0, 1, 2, 3]
+    assert [r.seed for r in runs] == list(range(1, 50))
+    assert submitted == list(range(50))
+
+    # a failed job raises once the run before it is taken; the jobs past
+    # the window behind it never start
+    submitted.clear()
+    jobs = [(scenario, "olsr" if s == 1 else "br", s, False) for s in range(50)]
+    runs = run_many(jobs, max_workers=2)
+    assert next(runs).seed == 0
+    with pytest.raises(ValueError, match="unknown protocol"):
+        next(runs)
+    assert submitted == [0, 1, 2, 3, 4]
+
+
 def test_run_many_starts_no_more_workers_than_jobs(monkeypatch):
     started = []
     start = multiprocessing.process.BaseProcess.start
@@ -619,12 +650,53 @@ def test_parked_epochs_leave_every_other_event_in_place():
 
 
 def test_runs_of_one_scenario_share_one_link_table():
-    one, other = chain_scenario(), chain_scenario()
+    one = chain_scenario()
+    other = make_scenario({0: (0.0, 0.0), 1: (4.0, 0.0), 2: (8.0, 0.0), 3: (12.0, 0.0)}, 3)
     first = Simulation(one, "br", 0).link
     assert Simulation(one, "aodv", 1).link is first
     assert Simulation(other, "br", 0).link is not first
-    # only the last scenario's table is kept
+    # only the last table is kept
     assert Simulation(one, "br", 0).link is not first
+
+
+def _link_builds(monkeypatch, tmp_path):
+    """Log each link table built, in this process or a forked worker, by pid."""
+    log = tmp_path / "builds"
+    log.touch()
+    init = LinkCache.__init__
+
+    def logging_init(cache, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        init(cache, *args)
+
+    monkeypatch.setattr(LinkCache, "__init__", logging_init)
+    monkeypatch.setattr(simulation, "_last_link", None)  # a forked worker inherits it
+    return lambda: log.read_text().split()
+
+
+def test_scenarios_of_equal_topology_and_channel_share_one_link_table(monkeypatch, tmp_path):
+    builds = _link_builds(monkeypatch, tmp_path)
+    first = Simulation(chain_scenario(), "br", 0).link
+    assert Simulation(chain_scenario(), "aodv", 0).link is first
+    # the sheets of a --p sweep: equal topology and channel, other br params
+    sheets = [
+        dataclasses.replace(chain_scenario(), br=BrParams(relay_probability=p))
+        for p in (0.3, 0.5, 0.7)
+    ]
+    runs = list(run_many([(sheet, "br", 0, False) for sheet in sheets]))
+    assert len(runs) == 3
+    assert len(builds()) == 1
+
+
+def test_pooled_runs_of_one_scenario_build_one_link_table_per_worker(monkeypatch, tmp_path):
+    builds = _link_builds(monkeypatch, tmp_path)
+    scenario = chain_scenario()
+    runs = list(run_many([(scenario, "br", s, False) for s in range(6)], max_workers=2))
+    assert [r.seed for r in runs] == list(range(6))
+    assert 1 <= len(builds()) <= 2
+    assert len(set(builds())) == len(builds())
+    assert str(os.getpid()) not in builds()
 
 
 def test_every_event_type_has_a_handler():
