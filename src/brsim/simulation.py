@@ -289,6 +289,16 @@ def run_scenario(scenario, protocol: str, seed: int, trace: bool = False) -> Run
     return Simulation(scenario, protocol, seed, trace=trace).run()
 
 
+# Pooled jobs in flight per worker. While the job at the head of the window
+# runs, the other workers only have the rest of the window to work on, so a
+# small window idles them behind a slow head. Replaying recorded job times
+# of a tandem12 node sweep (5..15, 10 seeds, both protocols), two per worker
+# give a makespan 4% above submitting every job at once with 8 workers and
+# 14% with 16; three lose nothing on that or two other sweeps, and four
+# keep a margin.
+_JOBS_PER_WORKER = 4
+
+
 def run_many(jobs: list[tuple], max_workers: int = 1) -> Iterator[RunMetrics]:
     """Run (scenario, protocol, seed, trace) jobs, yielding results in job order.
 
@@ -296,7 +306,7 @@ def run_many(jobs: list[tuple], max_workers: int = 1) -> Iterator[RunMetrics]:
     independently and shares no mutable state. Serially, a job runs only when
     its result is asked for. A pool starts at most one worker per job and
     looks ahead a bounded window: it submits one job at a time and keeps at
-    most two per worker in flight, so it never holds more untaken results
+    most four per worker in flight, so it never holds more untaken results
     than that. A failed run raises its own exception, so a caller that
     counts the results it has taken knows which job failed; no job past the
     window has started, and those still waiting in it are cancelled.
@@ -312,7 +322,7 @@ def run_many(jobs: list[tuple], max_workers: int = 1) -> Iterator[RunMetrics]:
     window: deque = deque()
     try:
         for job in jobs:
-            if len(window) == 2 * workers:
+            if len(window) == _JOBS_PER_WORKER * workers:
                 yield window.popleft().result()
             window.append(pool.submit(run_scenario, *job))
         while window:
