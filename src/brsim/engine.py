@@ -107,13 +107,13 @@ class RngStream:
 
 @dataclass(slots=True)
 class FrameArrival:
-    """A frame reaching rx's antenna; adjudication happens at processing time.
+    """A frame reaching its receivers (rxs, ascending id), each judged on processing.
 
     uid tags Routing frames with the simulation-level packet identity. It is
     never serialized.
     """
 
-    rx: int
+    rxs: tuple[int, ...]
     frame: Frame
     tx: int
     uid: int | None = None
@@ -141,15 +141,15 @@ class BeaconTick:
 Event = FrameArrival | TimerFire | DecisionEpoch | BeaconTick
 
 
-def describe_event(event: Event) -> tuple[str, int, str]:
-    """(kind, node, detail) triple used for trace lines."""
+def describe_event(event: Event) -> list[tuple[str, int, str]]:
+    """(kind, node, detail) triples for the trace: one per frame receiver."""
     if isinstance(event, FrameArrival):
-        return "arrive", event.rx, f"{event.frame.type.name}<-{event.tx}"
+        return [("arrive", rx, f"{event.frame.type.name}<-{event.tx}") for rx in event.rxs]
     if isinstance(event, TimerFire):
-        return "timer", event.node, f"{event.tag}:{event.ref}"
+        return [("timer", event.node, f"{event.tag}:{event.ref}")]
     if isinstance(event, DecisionEpoch):
-        return "epoch", event.node, "-"
-    return "beacon", event.node, "-"
+        return [("epoch", event.node, "-")]
+    return [("beacon", event.node, "-")]
 
 
 class PastEventError(Exception):
@@ -205,8 +205,8 @@ class Engine:
             self.since = since
             self.processed += 1
             if self.trace is not None:
-                kind, node, detail = describe_event(event)
-                self.trace.append(f"{time}\t{kind}\t{node}\t{detail}")
+                for kind, node, detail in describe_event(event):
+                    self.trace.append(f"{time}\t{kind}\t{node}\t{detail}")
             if handler is not None:
                 handler(event)
         self.now = horizon

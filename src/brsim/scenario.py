@@ -334,9 +334,37 @@ def _check_readings(topology: Topology, channel: ChannelParams) -> None:
 # ---- document and override handling ----------------------------------------
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a key written twice in one mapping.
+
+    Plain PyYAML keeps the last value of a repeated key without a word. A
+    key merged in with `<<` may still be overridden by one written out.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        # a node that is no mapping (`!!set foo`) is the base class's to reject
+        pairs = node.value if isinstance(node, yaml.MappingNode) else []
+        lines: dict = {}  # the line of each key written out in this mapping
+        for key_node, _ in pairs:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            line = key_node.start_mark.line + 1
+            try:
+                first = lines.get(key)
+            except TypeError:
+                continue  # an unhashable key, which the base class reports
+            if first is not None:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"duplicate key {key!r} on line {line} (first on line {first})"
+                )
+            lines[key] = line
+        return super().construct_mapping(node, deep=deep)
+
+
 def parse_document(text: str, origin: str = "<string>") -> dict:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"{origin}: {exc}") from exc
     if raw is None:
@@ -366,7 +394,7 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
                 raise ValidationError(f"override {key}: {part} is not a mapping")
             cursor = nxt
         try:
-            cursor[path[-1]] = yaml.safe_load(value) if value != "" else None
+            cursor[path[-1]] = yaml.load(value, Loader=_UniqueKeyLoader) if value != "" else None
         except yaml.YAMLError as exc:
             raise ValidationError(f"override {text!r}: bad value") from exc
     return raw

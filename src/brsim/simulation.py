@@ -6,12 +6,12 @@ tick are mutually concurrent. Reception is adjudicated at arrival: a radio
 that was itself transmitting at t hears nothing (half duplex), everything
 else is decided by the channel model against the concurrent-transmitter set.
 
-Arrivals are only scheduled to stations that could hear the frame on a quiet
-channel (interference can only remove receptions, never add them), which
-keeps event counts proportional to real traffic. Those stations come from the
-link table's precomputed hearer lists, in ascending id. An untraced run also
-leaves out beacon arrivals at stations that already hold a destination
-reading; see Simulation.run.
+A frame on the air is one arrival event carrying its receivers, adjudicated
+at each against one concurrent set: the stations that could hear it on a
+quiet channel (interference can only remove receptions, never add them), in
+ascending id from the link table's hearer lists, or its addressee if that one
+can hear it. An untraced run also leaves out beacon receivers that already
+hold a destination reading; see Simulation.run.
 
 The nodes keep their own timing (a BrNode schedules its decision epochs).
 Each packet's outcome is written as it happens: generating the packet opens
@@ -37,8 +37,6 @@ from .engine import (
 from .frame import DstBcast, Frame, MessageType
 from .metrics import HopRecord, Outcome, RoutingRecord, RunMetrics
 from .protocol import PacketMeta, RadioNode
-
-_EMPTY: frozenset[int] = frozenset()
 
 _NODE_CLASSES = {"br": BrNode, "aodv": AodvNode}
 
@@ -122,20 +120,18 @@ class Simulation:
                 RoutingRecord(at, tx, frame.recv_node_id, uid, frame.hop_count)
             )
         if only_to is not None:
-            if self.link.can_hear(tx, only_to):
-                self.engine.schedule(at + 1, FrameArrival(only_to, frame, tx, uid))
-            return
-        if frame.type is not MessageType.DST_BCAST:
-            hearers = self.link.hearers[tx]
+            rxs = (only_to,) if self.link.can_hear(tx, only_to) else ()
+        elif frame.type is not MessageType.DST_BCAST:
+            rxs = self.link.hearers[tx]
         elif self._stop_when_idle:
             # the channel is static, so a station that holds a reading would
             # only be told the same rssi_of(tx, rx) again
             nodes = self.nodes
-            hearers = [rx for rx in self.link.beacon_hearers[tx] if nodes[rx].dst_rssi is None]
+            rxs = tuple(rx for rx in self.link.beacon_hearers[tx] if nodes[rx].dst_rssi is None)
         else:
-            hearers = self.link.beacon_hearers[tx]
-        for rx in hearers:
-            self.engine.schedule(at + 1, FrameArrival(rx, frame, tx, uid))
+            rxs = self.link.beacon_hearers[tx]
+        if rxs:
+            self.engine.schedule(at + 1, FrameArrival(rxs, frame, tx, uid))
 
     def channel_busy(self, me: int) -> bool:
         """Clear-channel assessment: an audible station is transmitting now."""
@@ -143,16 +139,6 @@ class Simulation:
         if not reg:
             return False
         return any(o != me and self.link.can_hear(o, me) for o in reg)
-
-    def _arrival_ok(self, ev: FrameArrival) -> bool:
-        sent_at = self.engine.now - 1
-        reg = self._tx.get(sent_at, _EMPTY)
-        if ev.rx in reg:
-            return False  # was transmitting itself, half duplex
-        concurrent = reg - {ev.tx}
-        if ev.frame.type is MessageType.DST_BCAST:
-            return self.link.beacon(ev.tx, ev.rx, concurrent)
-        return self.link.delivery(ev.tx, ev.rx, concurrent)
 
     # ---- event dispatch -----------------------------------------------------
 
@@ -256,8 +242,22 @@ class Simulation:
 
 
 def _on_arrival(sim: Simulation, ev: FrameArrival) -> None:
-    if sim._arrival_ok(ev):
-        sim.nodes[ev.rx].on_frame(ev.frame, ev.tx, ev.uid, sim.link.rssi_of(ev.tx, ev.rx))
+    """Adjudicate a frame at its receivers in ascending id, back to back.
+
+    One that sent in the frame's tick hears nothing (half duplex). No burst
+    of two or more stops the run: only an Ack ends a hop (`_end_hop` ->
+    `packet_dequeued` -> `Engine.stop`), Acks, Responses and Routing frames
+    are addressed, and `on_rts` and `on_dst_beacon` never dequeue. What a
+    handler schedules sorts after the rest by since (now), or by seq if it
+    is an epoch woken at this tick (1 ms epochs only, by `_catch_up`'s rule).
+    """
+    frame, tx, link = ev.frame, ev.tx, sim.link
+    sent = sim._tx[sim.engine.now - 1]  # the frame's tick, never pruned yet
+    concurrent = sent - {tx}
+    verdict = link.beacon if frame.type is MessageType.DST_BCAST else link.delivery
+    for rx in ev.rxs:
+        if rx not in sent and verdict(tx, rx, concurrent):
+            sim.nodes[rx].on_frame(frame, tx, ev.uid, link.rssi_of(tx, rx))
 
 
 def _on_timer(sim: Simulation, ev: TimerFire) -> None:

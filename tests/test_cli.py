@@ -161,6 +161,21 @@ def test_run_scenario_file_path(tmp_path):
     assert (tmp_path / "tiny_br_seed0_hops.tsv").exists()
 
 
+def test_run_scenario_file_with_a_duplicated_key_exits_2(tmp_path, capsys):
+    doc = tmp_path / "twice.yaml"
+    doc.write_text(
+        "horizon_s: 120\n"
+        "topology: {generator: tandem, count: 3}\n"
+        "traffic: {sources: [0]}\n"
+        "br: {relay_probability: 0.5}\n"
+        "br: {epoch_ms: 1000}\n"
+    )
+    code = run_cli("run", "--scenario", str(doc), "--out", str(tmp_path))
+    assert code == 2
+    assert "duplicate key 'br' on line 5" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["twice.yaml"]
+
+
 # ---- sweep subcommand --------------------------------------------------------------
 
 

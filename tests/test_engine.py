@@ -240,7 +240,7 @@ def test_trace_line_format():
     eng.schedule(2, BeaconTick(0))
     eng.schedule(2, DecisionEpoch(4))
     eng.schedule(5, TimerFire(3, "x", 7))
-    eng.schedule(9, FrameArrival(1, SrcBcast(5), 5))
+    eng.schedule(9, FrameArrival((1,), SrcBcast(5), 5))
     eng.run_until(10)
     assert trace == [
         "2\tbeacon\t0\t-",

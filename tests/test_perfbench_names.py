@@ -3,7 +3,8 @@
 `perfbench/layers.py` replaces named brsim methods and functions with timing
 wrappers, so renaming or deleting one breaks the benchmark. Installing the
 tracer fails with AttributeError on a missing name, and a renamed hook
-point leaves its counter at zero.
+point leaves its counter at zero. The tracer files events by class, so a
+renamed or split arrival class would leave the arrival counts at zero too.
 """
 
 import pathlib
@@ -31,6 +32,9 @@ def test_tracer_wraps_counts_and_restores(monkeypatch):
     exact = tracer.exact()
     for name in (
         "engine.events",
+        "engine.events.arrive",
+        "channel.sir_checks",
+        "channel.arrivals_scheduled",
         "rng.draws",
         "rng.coin_flips",
         "simulation.cca_checks",

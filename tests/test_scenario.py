@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import pytest
 
@@ -363,8 +364,40 @@ def test_parse_document_errors():
         parse_document("")
     with pytest.raises(ParseError):
         parse_document("a: [unclosed")
+    for tagged in ("a: !!set foo", "a: !!map [1]"):
+        with pytest.raises(ParseError, match="expected a mapping node"):
+            parse_document(tagged)
     with pytest.raises(ScenarioError):
         parse_document("- just\n- a list\n")
+
+
+DUPLICATE_FREE = "horizon_s: 10\ntraffic: {sources: [0]}\nbr:\n  relay_probability: 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (DUPLICATE_FREE + "br: {epoch_ms: 1000}\n", "duplicate key 'br' on line 5 (first on line 3)"),
+        (DUPLICATE_FREE + "  relay_probability: 0.6\n", "duplicate key 'relay_probability' on line 5"),
+        ("traffic: {sources: [0], sources: [1]}\n", "duplicate key 'sources' on line 1"),
+    ],
+)
+def test_a_key_written_twice_in_one_mapping_is_rejected(text, message):
+    assert parse_document(DUPLICATE_FREE)["br"] == {"relay_probability": 0.5}
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_document(text)
+
+
+def test_a_merged_key_may_be_overridden():
+    raw = parse_document("base: &b {x: 1, y: 2}\nbr:\n  <<: *b\n  x: 3\n")
+    assert raw["br"] == {"x": 3, "y": 2}
+
+
+def test_overrides_reject_duplicate_keys_and_take_the_last_repeat():
+    with pytest.raises(ValidationError, match="bad value"):
+        apply_overrides(minimal(), ["br={epoch_ms: 100, epoch_ms: 200}"])
+    out = apply_overrides(minimal(), ["br.epoch_ms=100", "br.epoch_ms=200"])
+    assert out["br"] == {"epoch_ms": 200}
 
 
 def test_overrides_set_nested_and_typed_values():

@@ -14,11 +14,11 @@ from brsim import simulation
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams, LinkCache
 from brsim.engine import BeaconTick, Event, FrameArrival, describe_event
-from brsim.frame import DstBcast, MessageType, Routing
+from brsim.frame import DstBcast, MessageType, Routing, SrcBcast
 from brsim.scenario import build_scenario, load_scenario
 from brsim.simulation import _DISPATCH, Simulation, run_many, run_scenario
 
-from conftest import make_scenario, make_sim
+from conftest import NO_INTERFERENCE, make_scenario, make_sim
 
 # nodes 0 and 1 are 5 m apart and 3 sits midway; destination 2 is so far
 # away that its beacons are inaudible and never perturb the others
@@ -54,6 +54,19 @@ def test_half_duplex_blocks_simultaneous_talkers():
     assert sim.nodes[0].dst_rssi is None
     assert sim.nodes[3].dst_rssi is None
 
+    # with the SIR gate off, one burst holds talkers that hear nothing (3, and
+    # the destination, whose own beacon goes out at tick 0) and 1, which decodes
+    sim = cross_sim(channel=ChannelParams(target_sir_db=NO_INTERFERENCE))
+    sim.transmit(0, DstBcast(0))
+    sim.transmit(3, DstBcast(3))
+    assert [(ev.tx, ev.rxs) for ev in _arrivals(sim)] == [(0, (1, 2, 3)), (3, (0, 1, 2))]
+    seen = []
+    sim.nodes[1].on_dst_beacon = seen.append
+    sim.engine.run_until(1, sim._handle)
+    assert seen == [-70, -61, -160]  # from 0, 3 and the destination
+    assert sim.nodes[0].dst_rssi is None
+    assert sim.nodes[3].dst_rssi is None
+
 
 def test_same_tick_equal_power_collision_destroys_both():
     sim = cross_sim()
@@ -86,13 +99,20 @@ def test_consecutive_ticks_do_not_interfere():
 # ---- arrival fan-out -----------------------------------------------------------
 
 
+def _arrivals(sim):
+    """The pending frame arrivals, in the order they will run."""
+    return [ev for _, ev in sim.engine.pending_events() if isinstance(ev, FrameArrival)]
+
+
 def test_beacons_fan_out_by_sir_reach():
     # 31.6 m: beyond the 30 m data range, inside the beacon SIR reach
     positions = {0: (0.0, 0.0), 1: (10.0 ** 1.5, 0.0), 2: (31.62 + 40.0, 0.0)}
     sim = make_sim(positions, 0, "br", sources=(1,), start_ms=10**9)
     before = sim.engine.pending()
     sim.transmit(0, DstBcast(0))
-    assert sim.engine.pending() == before + 1  # node 1 only, node 2 is too far
+    assert sim.engine.pending() == before + 1
+    [burst] = _arrivals(sim)
+    assert burst.rxs == (1,)  # node 1 only, node 2 is too far
     assert not sim.link.can_hear(0, 1)
     sim.engine.run_until(1, sim._handle)
     assert sim.nodes[1].dst_rssi == -85
@@ -106,6 +126,26 @@ def test_addressed_frames_gated_by_hearing_range():
     assert 0 in sim._tx[sim.engine.now]  # but the air time is still spent
     [rec] = sim.metrics.routing_log
     assert (rec.sender, rec.receiver, rec.uid, rec.hop_count) == (0, 2, 9, 0)
+    # an audible target gets a burst of one, though 1 hears 0 as well
+    sim.transmit(0, Routing(0, 2, 0, 3, 0), only_to=3, uid=9)
+    [burst] = _arrivals(sim)
+    assert (burst.rxs, burst.tx, burst.uid) == ((3,), 0, 9)
+
+
+def test_a_broadcast_is_one_arrival_for_all_its_hearers():
+    sim = cross_sim()
+    before = sim.engine.pending()
+    sim.transmit(3, SrcBcast(3))
+    assert sim.engine.pending() == before + 1
+    [burst] = _arrivals(sim)
+    assert burst.rxs == sim.link.hearers[3] == (0, 1)
+    heard = []
+    for rx in burst.rxs:
+        sim.nodes[rx].on_frame = lambda frame, tx, uid, measured, rx=rx: heard.append(
+            (rx, tx, measured)
+        )
+    sim.engine.run_until(1, sim._handle)
+    assert heard == [(0, 3, -61), (1, 3, -61)]  # each adjudicated, in id order
 
 
 def test_broadcast_skips_sender_itself():
@@ -555,9 +595,10 @@ def _beacon_arrivals(scenario, trace):
         handle(ev)
         if isinstance(ev, BeaconTick):  # it just scheduled its arrivals
             held.extend(
-                sim.nodes[a.rx].dst_rssi is not None
+                sim.nodes[rx].dst_rssi is not None
                 for _, a in sim.engine.pending_events()
                 if isinstance(a, FrameArrival) and a.frame.type is MessageType.DST_BCAST
+                for rx in a.rxs
             )
 
     sim._handle = recording
@@ -630,7 +671,7 @@ def _events(scenario, seed, park):
         seen = []
 
         def recording(ev):
-            seen.append((sim.engine.now, *describe_event(ev)))
+            seen.extend((sim.engine.now, *line) for line in describe_event(ev))
             handle(ev)
 
         sim._handle = recording
