@@ -79,11 +79,12 @@ class BrNode(RadioNode):
         self.listening = False
         self.may_park = False  # see allow_parking
         self._parked_at: int | None = None  # the last epoch's tick while parked
+        self._epoch = DecisionEpoch(node_id)  # one event, scheduled for every epoch
         if not self.is_destination:
             engine, p = sim.engine, self.params
             self.listening = engine.bernoulli(self.id, p.relay_probability)
             self.offset = engine.draw_uniform(self.id, p.epoch_ms)
-            engine.schedule(self.offset, DecisionEpoch(self.id))
+            engine.schedule(self.offset, self._epoch)
 
     # ---- epoch ------------------------------------------------------------
 
@@ -111,7 +112,7 @@ class BrNode(RadioNode):
             self._parked_at = engine.now
             engine.parked[self.offset] = self
             return
-        engine.schedule(engine.now + self.params.epoch_ms, DecisionEpoch(self.id))
+        engine.schedule(engine.now + self.params.epoch_ms, self._epoch)
 
     def _catch_up(self) -> None:
         """Draw the coins of the grid epochs that ran while parked; stay parked.
@@ -142,7 +143,7 @@ class BrNode(RadioNode):
         engine = self.sim.engine
         del engine.parked[self.offset]
         last, self._parked_at = self._parked_at, None
-        engine.schedule(last + self.params.epoch_ms, DecisionEpoch(self.id), since=last)
+        engine.schedule(last + self.params.epoch_ms, self._epoch, since=last)
 
     def on_rts(self, tx: int) -> None:
         if self._parked_at is not None:

@@ -217,8 +217,9 @@ class LinkCache:
 
     def _sir_ok(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
         interference = self._noise_mw
-        for other in sorted(concurrent):
-            interference += self._mw[other][rx]
+        if concurrent:  # most frames have their tick to themselves
+            for other in sorted(concurrent):
+                interference += self._mw[other][rx]
         return self._mw[tx][rx] / interference >= self._sir_lin
 
     def delivery(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
@@ -226,7 +227,7 @@ class LinkCache:
 
         `concurrent` holds every other node transmitting in the same tick.
         """
-        if not self.can_hear(tx, rx):
+        if tx == rx or self._rssi[tx][rx] < self.sensitivity:  # can_hear, inline
             return False
         return self._sir_ok(tx, rx, concurrent)
 

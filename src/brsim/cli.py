@@ -42,6 +42,11 @@ class UsageError(SystemExit):
 # most values one --nodes or --p sweep may take; each value adds its own runs
 _MAX_SWEEP_VALUES = 1000
 
+# Trace lines joined into one string per write. A write per line takes about
+# twice as long; one string for the whole trace adds its size to peak memory
+# (+0.45 MB on a traced tandem12 --p sweep, against none for 1024 lines).
+_TRACE_CHUNK = 1024
+
 
 def _parse_node_range(text: str) -> range:
     try:
@@ -122,6 +127,15 @@ def _check_file_names(out: str, names: list[str]) -> None:
         )
 
 
+def _write_trace(path: str, lines: list[str]) -> None:
+    """One file line per trace line; no name of the caller's loop holds `lines`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(
+            "\n".join(lines[i : i + _TRACE_CHUNK]) + "\n"
+            for i in range(0, len(lines), _TRACE_CHUNK)
+        )
+
+
 def _each_run(
     jobs: list[tuple], tags: list[str], out: str, workers: int = 1
 ) -> Iterator[tuple[str, str, RunMetrics]]:
@@ -140,9 +154,7 @@ def _each_run(
             raise RunError(f"{' '.join(filter(None, where))}: {exc}") from exc
         stem = _stem(scenario, protocol, tag, seed)
         if trace:
-            with open(os.path.join(out, f"{stem}.trace"), "w", encoding="utf-8") as fh:
-                for line in run.trace:
-                    fh.write(line + "\n")
+            _write_trace(os.path.join(out, f"{stem}.trace"), run.trace)
             run.trace = None
         yield tag, stem, run
 

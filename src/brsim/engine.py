@@ -44,7 +44,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from .frame import Frame
+from .frame import Frame, MessageType
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK53 = (1 << 53) - 1
@@ -84,9 +84,15 @@ class RngStream:
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound), rejection-sampled (no modulo bias)."""
+        """Uniform integer in [0, bound), rejection-sampled (no modulo bias).
+
+        A power-of-two bound divides 2**64, so its rejection loop never
+        rejects and the result is the draw's low bits: one mask, same draw.
+        """
         if not 0 < bound <= MAX_BOUND:
             raise ValueError(f"bound must lie in 1..2**64, got {bound}")
+        if not bound & (bound - 1):
+            return self.next_u64() & (bound - 1)
         limit = (2**64 // bound) * bound
         while True:
             v = self.next_u64()
@@ -121,7 +127,7 @@ class FrameArrival:
 
 @dataclass(slots=True)
 class TimerFire:
-    """A node's timer; the node tells a live one from a stale one by identity."""
+    """A node's timer; the node tells a live hop timer from a stale one by identity."""
 
     node: int
     tag: str
@@ -141,15 +147,49 @@ class BeaconTick:
 Event = FrameArrival | TimerFire | DecisionEpoch | BeaconTick
 
 
-def describe_event(event: Event) -> list[tuple[str, int, str]]:
-    """(kind, node, detail) triples for the trace: one per frame receiver."""
-    if isinstance(event, FrameArrival):
-        return [("arrive", rx, f"{event.frame.type.name}<-{event.tx}") for rx in event.rxs]
-    if isinstance(event, TimerFire):
-        return [("timer", event.node, f"{event.tag}:{event.ref}")]
-    if isinstance(event, DecisionEpoch):
-        return [("epoch", event.node, "-")]
-    return [("beacon", event.node, "-")]
+# Trace lines, "time<TAB>kind<TAB>node<TAB>detail": one per event, and one per
+# receiver for a frame. Each event type has one builder, which returns the
+# event's finished lines; frame names come from this table, not from the
+# enum's `name` property on every line.
+_FRAME_NAMES = {t: t.name for t in MessageType}
+
+
+def _arrival_lines(time: int, ev: FrameArrival) -> list[str]:
+    head = f"{time}\tarrive\t"
+    tail = f"\t{_FRAME_NAMES[ev.frame.type]}<-{ev.tx}"
+    return [f"{head}{rx}{tail}" for rx in ev.rxs]
+
+
+def _timer_lines(time: int, ev: TimerFire) -> tuple[str]:
+    return (f"{time}\ttimer\t{ev.node}\t{ev.tag}:{ev.ref}",)
+
+
+def _epoch_lines(time: int, ev: DecisionEpoch) -> tuple[str]:
+    return (f"{time}\tepoch\t{ev.node}\t-",)
+
+
+def _beacon_lines(time: int, ev: BeaconTick) -> tuple[str]:
+    return (f"{time}\tbeacon\t{ev.node}\t-",)
+
+
+TRACE_LINES = {
+    FrameArrival: _arrival_lines,
+    TimerFire: _timer_lines,
+    DecisionEpoch: _epoch_lines,
+    BeaconTick: _beacon_lines,
+}
+
+
+class _Streams(dict):
+    """The run's RngStream of each node, made on first use: one lookup per draw."""
+
+    def __init__(self, run_seed: int) -> None:
+        super().__init__()
+        self.run_seed = run_seed
+
+    def __missing__(self, node_id: int) -> RngStream:
+        stream = self[node_id] = RngStream(derive_stream_seed(self.run_seed, node_id))
+        return stream
 
 
 class PastEventError(Exception):
@@ -160,21 +200,27 @@ class Engine:
     """Event loop plus the per-node RNG streams for one run."""
 
     def __init__(self, run_seed: int, trace: list[str] | None = None) -> None:
-        self.run_seed = run_seed
         self.trace = trace
         self.now = 0
         self.processed = 0
-        self.since = 0  # the tick at which the event being processed was scheduled
+        # the tick at which the event being processed was scheduled, and its seq
+        self.since = 0
+        self.seq = -1
         self._heap: list[tuple[int, int, int, Event]] = []
         self._seq = 0
-        self._streams: dict[int, RngStream] = {}
+        self._streams = _Streams(run_seed)
         # parked epoch clocks, each with a wake() method, by their grid's
         # residue modulo the one period they all share
         self.grid_ms = 0
         self.parked: dict = {}
 
-    def schedule(self, time: int, event: Event, since: int | None = None) -> None:
-        """Push an event; `since` defaults to now (see the module docstring)."""
+    def schedule(
+        self, time: int, event: Event, since: int | None = None, seq: int | None = None
+    ) -> None:
+        """Push an event; `since` defaults to now (see the module docstring).
+
+        `seq` is a key taken from reserve(), or by default the next one.
+        """
         now = self.now
         if time < now:
             raise PastEventError(f"cannot schedule at {time}, current time is {now}")
@@ -182,8 +228,20 @@ class Engine:
             clock = self.parked.get(time % self.grid_ms)
             if clock is not None:
                 clock.wake()
-        heapq.heappush(self._heap, (time, now if since is None else since, self._seq, event))
+        if seq is None:
+            seq = self._seq
+            self._seq += 1
+        heapq.heappush(self._heap, (time, now if since is None else since, seq, event))
+
+    def reserve(self) -> int:
+        """Take the next seq without pushing anything, for an event pushed later.
+
+        An event pushed later with the reserved seq and its original time and
+        since sorts where it would have sorted if pushed now.
+        """
+        seq = self._seq
         self._seq += 1
+        return seq
 
     def pending(self) -> int:
         return len(self._heap)
@@ -198,15 +256,16 @@ class Engine:
         Returns the number processed. On return, now == horizon.
         """
         start = self.processed
-        while self._heap and self._heap[0][0] <= horizon:
-            time, since, _, event = heapq.heappop(self._heap)
+        heap, pop, trace = self._heap, heapq.heappop, self.trace
+        while heap and heap[0][0] <= horizon:
+            time, since, seq, event = pop(heap)
             assert time >= self.now, "event popped out of order"
             self.now = time
             self.since = since
+            self.seq = seq
             self.processed += 1
-            if self.trace is not None:
-                for kind, node, detail in describe_event(event):
-                    self.trace.append(f"{time}\t{kind}\t{node}\t{detail}")
+            if trace is not None:
+                trace += TRACE_LINES[type(event)](time, event)
             if handler is not None:
                 handler(event)
         self.now = horizon
@@ -223,14 +282,10 @@ class Engine:
         self._heap.clear()
 
     def stream(self, node_id: int) -> RngStream:
-        st = self._streams.get(node_id)
-        if st is None:
-            st = RngStream(derive_stream_seed(self.run_seed, node_id))
-            self._streams[node_id] = st
-        return st
+        return self._streams[node_id]
 
     def draw_uniform(self, node_id: int, bound: int) -> int:
-        return self.stream(node_id).randbelow(bound)
+        return self._streams[node_id].randbelow(bound)
 
     def bernoulli(self, node_id: int, p: float) -> bool:
-        return self.stream(node_id).bernoulli(p)
+        return self._streams[node_id].bernoulli(p)

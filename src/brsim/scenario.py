@@ -396,7 +396,9 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         try:
             cursor[path[-1]] = yaml.load(value, Loader=_UniqueKeyLoader) if value != "" else None
         except yaml.YAMLError as exc:
-            raise ValidationError(f"override {text!r}: bad value") from exc
+            # the problem alone: the rest of a parse error is marks within the value
+            problem = getattr(exc, "problem", None) or exc
+            raise ValidationError(f"override {text!r}: bad value: {problem}") from exc
     return raw
 
 

@@ -9,6 +9,7 @@ import brsim.cli
 import brsim.simulation
 from brsim.cli import _parse_node_range, _parse_p_range, main
 from brsim.metrics import CSV_HEADER, read_csv, summarize
+from brsim.scenario import load_scenario
 
 FAST = [
     "--set", "horizon_ms=120000",
@@ -84,6 +85,19 @@ def test_run_trace_files_are_deterministic(tmp_path):
     assert ta.count(b"\n") > 10
 
 
+def test_a_trace_file_holds_the_runs_trace_lines_across_write_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(brsim.cli, "_TRACE_CHUNK", 5)  # many chunks, the last one short
+    assert run_cli(
+        "run", "--scenario", "tandem12", "--protocol", "aodv", "--seed", "5",
+        "--trace", "--out", str(tmp_path), *FAST,
+    ) == 0
+    scenario = load_scenario("tandem12", list(FAST[1::2]))
+    lines = brsim.simulation.run_scenario(scenario, "aodv", 5, trace=True).trace
+    assert len(lines) % 5
+    text = (tmp_path / "tandem12_aodv_seed5.trace").read_text(encoding="utf-8")
+    assert text == "".join(f"{line}\n" for line in lines)
+
+
 def test_run_missing_scenario_exits_2(tmp_path, capsys):
     assert run_cli("run", "--scenario", "nope", "--out", str(tmp_path)) == 2
     assert "bundled" in capsys.readouterr().err
@@ -115,6 +129,19 @@ def test_run_rejects_the_document_before_running(tmp_path, capsys, override, mes
     assert code == 2
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        ("br={epoch_ms: 1, epoch_ms: 2}", "duplicate key 'epoch_ms' on line 1 (first on line 1)"),
+        ("br.relay_probability=[0.5", "expected ',' or ']', but got '<stream end>'"),
+    ],
+)
+def test_a_bad_override_value_exits_2_with_its_yaml_problem(tmp_path, capsys, override, problem):
+    code = run_cli("run", "--scenario", "tandem12", "--out", str(tmp_path), "--set", override)
+    assert code == 2
+    assert f"bad value: {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from brsim.engine import (
     TimerFire,
     derive_stream_seed,
 )
-from brsim.frame import SrcBcast
+from brsim.frame import Ack, DstBcast, Response, Routing, SrcBcast
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -104,6 +104,17 @@ def test_randbelow_takes_bounds_up_to_two_to_the_64():
     assert [a.randbelow(2**64) for _ in range(3)] == [b.next_u64() for _ in range(3)]
     with pytest.raises(ValueError):
         a.randbelow(2**64 + 1)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 8, 2**32, 2**64])
+def test_a_power_of_two_bound_masks_the_draw(bound):
+    # 2**64 is a multiple of the bound, so no draw is rejected: the result is
+    # the draw modulo the bound, and each call takes exactly one draw
+    seed = derive_stream_seed(7, 1)
+    a, b = RngStream(seed), RngStream(seed)
+    for _ in range(200):
+        assert a.randbelow(bound) == b.next_u64() % bound
+    assert a._state == b._state
 
 
 def test_randbelow_uniform_within_four_sigma():
@@ -241,10 +252,22 @@ def test_trace_line_format():
     eng.schedule(2, DecisionEpoch(4))
     eng.schedule(5, TimerFire(3, "x", 7))
     eng.schedule(9, FrameArrival((1,), SrcBcast(5), 5))
-    eng.run_until(10)
+    # a burst: one line per receiver, in the order the event carries them
+    eng.schedule(10, FrameArrival((2, 6, 11), DstBcast(8), 8))
+    eng.schedule(11, FrameArrival((3,), Response(5, 3, -70), 3))
+    eng.schedule(12, FrameArrival((4,), Routing(5, 8, 5, 4, 0), 5, uid=9))
+    eng.schedule(13, FrameArrival((5,), Ack(4), 4))
+    eng.run_until(20)
     assert trace == [
         "2\tbeacon\t0\t-",
         "2\tepoch\t4\t-",
         "5\ttimer\t3\tx:7",
         "9\tarrive\t1\tSRC_BCAST<-5",
+        "10\tarrive\t2\tDST_BCAST<-8",
+        "10\tarrive\t6\tDST_BCAST<-8",
+        "10\tarrive\t11\tDST_BCAST<-8",
+        "11\tarrive\t3\tRESPONSE<-3",
+        "12\tarrive\t4\tROUTING<-5",
+        "13\tarrive\t5\tACK<-4",
     ]
+    assert eng.processed == 8

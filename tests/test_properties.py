@@ -7,7 +7,8 @@ forwarded it, and let the first delivery beat any drop of the same packet,
 otherwise the first drop stand. Each wait, too, keeps exactly the timers it
 needs in flight. And an untraced run, which skips events that change
 nothing, must give the results of the traced run of the same scenario and
-seed, on floors whose timing forces same-tick ties.
+seed, on floors whose timing forces same-tick ties; an untraced `aodv` run
+must also keep the traced run's event order.
 """
 
 from collections import Counter, defaultdict
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from brsim.baseline import CsmaParams
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams
-from brsim.engine import TimerFire
+from brsim.engine import TRACE_LINES, TimerFire
 from brsim.simulation import Simulation
 
 from conftest import NO_INTERFERENCE, make_scenario, make_sim
@@ -133,9 +134,10 @@ def test_run_invariants(sim):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(runs())
 def test_each_wait_keeps_its_one_timer(sim):
-    """After every event: a baseline station has one `cca` or `csma-idle`
-    timer in flight exactly while its CSMA queue has a head, and every
-    pending `select` or `backoff` timer is the one its node waits on."""
+    """After every event: while a baseline station's CSMA queue has a head,
+    it holds exactly one of a `cca` timer, a `csma-idle` timer or a reserved
+    idle key, and none of them otherwise; and every pending `select` or
+    `backoff` timer is the one its node waits on."""
     handle = sim._handle
 
     def checked(ev):
@@ -144,7 +146,8 @@ def test_each_wait_keeps_its_one_timer(sim):
         if sim.protocol == "aodv":
             csma = Counter(t.node for t in timers if t.tag in ("cca", "csma-idle"))
             for node in sim.nodes.values():
-                assert csma[node.id] == (1 if node._csma_queue else 0)
+                held = csma[node.id] + (node._idle_key is not None)
+                assert held == (1 if node._csma_queue else 0)
         for t in timers:
             if t.tag in ("select", "backoff"):
                 assert t is sim.nodes[t.node]._timer
@@ -199,3 +202,32 @@ def test_untraced_runs_behave_as_traced_runs(scenario, protocol, seed):
     full = Simulation(scenario, protocol, seed, trace=True).run()
     for field in ("generated", "outcomes", "hops", "routing_log"):
         assert getattr(quick, field) == getattr(full, field), field
+
+
+def _processed(sim):
+    """Run the simulation; every event it processes, as its trace lines."""
+    handle, seen = sim._handle, []
+
+    def recording(ev):
+        seen.extend(TRACE_LINES[type(ev)](sim.engine.now, ev))
+        handle(ev)
+
+    sim._handle = recording
+    sim.run()
+    return seen
+
+
+def _kept(lines):
+    """The events both runs must share: no csma-idle timer, no beacon arrival."""
+    return [ln for ln in lines if "\tcsma-idle:" not in ln and "\tDST_BCAST<-" not in ln]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_scenarios(), st.integers(0, 2**32 - 1))
+def test_untraced_aodv_runs_keep_the_event_order(scenario, seed):
+    """A reserved csma-idle timer changes no other event's place: apart from
+    csma-idle timers and beacon arrivals, the untraced run processes the
+    traced run's events in the same order, up to its quiescence stop."""
+    quick = _kept(_processed(Simulation(scenario, "aodv", seed)))
+    full = _kept(_processed(Simulation(scenario, "aodv", seed, trace=True)))
+    assert quick == full[: len(quick)]

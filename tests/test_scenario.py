@@ -438,6 +438,19 @@ def test_override_must_be_assignment():
         apply_overrides(minimal(), ["br.relay_probability=[0.5"])
 
 
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        ("br={epoch_ms: 1, epoch_ms: 2}", "duplicate key 'epoch_ms' on line 1 (first on line 1)"),
+        ("br.relay_probability=[0.5", "expected ',' or ']', but got '<stream end>'"),
+    ],
+)
+def test_a_bad_override_value_gives_the_yaml_problem(override, problem):
+    with pytest.raises(ValidationError) as err:
+        apply_overrides(minimal(), [override])
+    assert str(err.value) == f"override {override!r}: bad value: {problem}"
+
+
 def test_load_raw_bundled_and_missing():
     raw, name = load_raw("tandem12")
     assert name == "tandem12"

@@ -13,7 +13,7 @@ from test_acceptance import SWEEP_OVERRIDES
 from brsim import simulation
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams, LinkCache
-from brsim.engine import BeaconTick, Event, FrameArrival, describe_event
+from brsim.engine import TRACE_LINES, BeaconTick, Event, FrameArrival
 from brsim.frame import DstBcast, MessageType, Routing, SrcBcast
 from brsim.scenario import build_scenario, load_scenario
 from brsim.simulation import _DISPATCH, Simulation, run_many, run_scenario
@@ -662,7 +662,7 @@ def test_parked_epochs_keep_the_order_of_same_tick_epochs():
 
 
 def _events(scenario, seed, park):
-    """Every event an untraced br run processes, as (time, kind, node, detail)."""
+    """Every event an untraced br run processes, as its trace lines."""
     with pytest.MonkeyPatch.context() as patch:
         if not park:
             patch.setattr(simulation, "allow_parking", lambda nodes: None)
@@ -671,7 +671,7 @@ def _events(scenario, seed, park):
         seen = []
 
         def recording(ev):
-            seen.extend((sim.engine.now, *line) for line in describe_event(ev))
+            seen.extend(TRACE_LINES[type(ev)](sim.engine.now, ev))
             handle(ev)
 
         sim._handle = recording
@@ -685,7 +685,9 @@ def test_parked_epochs_leave_every_other_event_in_place():
     for seed in range(8):
         parked = _events(scenario, seed, park=True)
         eager = _events(scenario, seed, park=False)
-        assert [e for e in parked if e[1] != "epoch"] == [e for e in eager if e[1] != "epoch"]
+        assert [e for e in parked if "\tepoch\t" not in e] == [
+            e for e in eager if "\tepoch\t" not in e
+        ]
         rest = iter(eager)
         assert all(any(e == f for f in rest) for e in parked), "an epoch moved"
         assert len(parked) < len(eager)
