@@ -124,8 +124,7 @@ class AodvNode(RadioNode):
         engine = self.sim.engine
         frame, target, uid = self._csma_queue[0]
         at = engine.now + self.csma.cca_ms
-        self.sim.transmit_at(at, self.id, frame, only_to=target, uid=uid)
-        self._on_air(frame, uid, at)
+        self._on_air(frame, target, uid, at)
         # hold the channel state until the transmission tick has passed; with
         # nothing queued behind the head, the timer would only pop it, so a
         # lazy station reserves the timer's key and leaves the pop to send

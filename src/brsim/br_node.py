@@ -159,8 +159,7 @@ class BrNode(RadioNode):
 
     def send(self, frame: Frame, target: int | None = None, uid: int | None = None) -> None:
         """Transmit at once: BR stations do not sense the channel."""
-        self.sim.transmit(self.id, frame, only_to=target, uid=uid)
-        self._on_air(frame, uid, self.sim.engine.now)
+        self._on_air(frame, target, uid, self.sim.engine.now)
 
     # ---- next hop -------------------------------------------------------------
 

@@ -250,7 +250,7 @@ class Engine:
         """(time, event) for every pending event, in the order they will run."""
         return [(entry[0], entry[-1]) for entry in sorted(self._heap)]
 
-    def run_until(self, horizon: int, handler: Callable[[Event], None] | None = None) -> int:
+    def run_until(self, horizon: int, handler: Callable[[Event], None]) -> int:
         """Process events with time <= horizon in (time, since, seq) order.
 
         Returns the number processed. On return, now == horizon.
@@ -266,8 +266,7 @@ class Engine:
             self.processed += 1
             if trace is not None:
                 trace += TRACE_LINES[type(event)](time, event)
-            if handler is not None:
-                handler(event)
+            handler(event)
         self.now = horizon
         return self.processed - start
 

@@ -81,10 +81,6 @@ class RunMetrics:
     def delivered_count(self) -> int:
         return sum(1 for o in self.outcomes.values() if o.delivered)
 
-    @property
-    def dropped_count(self) -> int:
-        return sum(1 for o in self.outcomes.values() if not o.delivered)
-
     def drop_reasons(self) -> Counter[str]:
         return Counter(
             o.reason for o in self.outcomes.values() if not o.delivered and o.reason

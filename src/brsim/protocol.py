@@ -8,9 +8,11 @@ only its policy:
 - `listening`: whether a station that holds a destination reading answers an
   RTS right now (BR's per-epoch coin; the baseline always listens);
 - `select_next_hop`: which responder receives the packet;
-- `send`: how a frame reaches the air (BR transmits at once, the baseline
-  contends with CSMA/CA). `send` reports each frame's on-air tick back
-  through `_on_air`, which arms the response window and the ack wait.
+- `send`: when a frame reaches the air (BR transmits at once, the baseline
+  contends with CSMA/CA). `send` then hands the frame and its on-air tick to
+  `_on_air`, the one place where a node's frame goes on the air: it books
+  the air time, arms the response window or the ack wait, and logs a data
+  frame. An Ack skips `send` and goes on the air at once.
 
 When a handshake starts is policy too: BR starts one at a transmit epoch
 (`on_epoch`), the baseline as soon as it is idle with data (`_on_free`).
@@ -30,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from .engine import TimerFire
 from .frame import Ack, Frame, MessageType, Response, Routing, SrcBcast
+from .metrics import RoutingRecord
 
 if TYPE_CHECKING:
     from .simulation import Simulation
@@ -120,10 +123,7 @@ class RadioNode:
 
     def _collect_response(self, frame: Response, measured: int) -> None:
         # each handshake starts a fresh list, so a late answer reaches no selection
-        if frame.broadcast_node_id == self.id:
-            self.responses.append(
-                ResponseRecord(frame.response_node_id, frame.dst_rssi, measured)
-            )
+        self.responses.append(ResponseRecord(frame.response_node_id, frame.dst_rssi, measured))
 
     def on_routing(self, frame: Routing, tx: int, uid: int | None) -> None:
         """Ack an addressed data frame, then deliver or requeue it.
@@ -132,10 +132,8 @@ class RadioNode:
         it is a retransmission whose earlier ack was lost, and taking it
         twice would fork phantom copies.
         """
-        if frame.recv_node_id != self.id:
-            return
         assert uid is not None, "routing frames always carry a uid"
-        self.sim.transmit(self.id, Ack(self.id), only_to=tx)
+        self._on_air(Ack(self.id), tx, None, self.sim.engine.now)
         self.prior_forwarders[uid].add(tx)
         if frame.dest_node_id == self.id:
             self.sim.deliver(uid, frame.hop_count + 1)
@@ -189,17 +187,23 @@ class RadioNode:
         routing = Routing(meta.source, meta.dest, self.id, target, meta.hop_count)
         self.send(routing, target, meta.uid)
 
-    def _on_air(self, frame: Frame, uid: int | None, at: int) -> None:
-        """One of this node's frames goes on the air at tick `at`.
+    def _on_air(self, frame: Frame, target: int | None, uid: int | None, at: int) -> None:
+        """Put one of this node's frames on the air at tick `at`.
 
-        The response window and the ack wait run from that tick, so a frame
-        that waited for the channel is given its full window.
+        An addressed frame (`target` set) reaches its addressee or nobody.
+        The response window and the ack wait run from the on-air tick, so a
+        frame that waited for the channel is given its full window. A data
+        frame is logged as it goes out.
         """
+        self.sim.transmit_at(at, self.id, frame, target, uid)
         t = frame.type
         if t is MessageType.SRC_BCAST:
             self._arm("select", at + self.params.response_wait_ms, ref=uid)
         elif t is MessageType.ROUTING:
             self._arm("ack", at + self.params.ack_wait_ms, ref=uid)
+            self.sim.metrics.routing_log.append(
+                RoutingRecord(at, self.id, target, uid, frame.hop_count)
+            )
 
     def _schedule_response(self, owner: int) -> None:
         """Queue a Response after the anti-collision jitter of whole slots."""

@@ -396,8 +396,9 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         try:
             cursor[path[-1]] = yaml.load(value, Loader=_UniqueKeyLoader) if value != "" else None
         except yaml.YAMLError as exc:
-            # the problem alone: the rest of a parse error is marks within the value
-            problem = getattr(exc, "problem", None) or exc
+            # the problem alone: the rest of a parse error, and the second line
+            # of a reader error, are marks within the value
+            problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
             raise ValidationError(f"override {text!r}: bad value: {problem}") from exc
     return raw
 

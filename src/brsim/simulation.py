@@ -13,7 +13,9 @@ ascending id from the link table's hearer lists, or its addressee if that one
 can hear it. An untraced run also leaves out beacon receivers that already
 hold a destination reading; see Simulation.run.
 
-The nodes keep their own timing (a BrNode schedules its decision epochs).
+The nodes keep their own timing (a BrNode schedules its decision epochs)
+and log the data frames they put on the air (RadioNode._on_air); the
+radio here only books air time and picks receivers.
 Each packet's outcome is written as it happens: generating the packet opens
 it as unresolved at the horizon, and `deliver` and `drop` overwrite that.
 """
@@ -35,7 +37,7 @@ from .engine import (
     TimerFire,
 )
 from .frame import DstBcast, Frame, MessageType
-from .metrics import HopRecord, Outcome, RoutingRecord, RunMetrics
+from .metrics import HopRecord, Outcome, RunMetrics
 from .protocol import PacketMeta, RadioNode
 
 _NODE_CLASSES = {"br": BrNode, "aodv": AodvNode}
@@ -94,10 +96,9 @@ class Simulation:
 
     # ---- radio ------------------------------------------------------------
 
-    def transmit(
-        self, tx: int, frame: Frame, only_to: int | None = None, uid: int | None = None
-    ) -> None:
-        self.transmit_at(self.engine.now, tx, frame, only_to, uid)
+    def transmit(self, tx: int, frame: Frame) -> None:
+        """Broadcast at once (the destination beacon); nodes use `_on_air`."""
+        self.transmit_at(self.engine.now, tx, frame)
 
     def transmit_at(
         self,
@@ -107,6 +108,7 @@ class Simulation:
         only_to: int | None = None,
         uid: int | None = None,
     ) -> None:
+        """Book `tx`'s air time at tick `at` and schedule the frame's arrival."""
         reg = self._tx.get(at)
         if reg is None:
             # CCA reads tick now and adjudication reads now - 1: drop older ticks
@@ -114,11 +116,6 @@ class Simulation:
             self._tx = {t: r for t, r in self._tx.items() if t >= now - 1}
             reg = self._tx[at] = set()
         reg.add(tx)
-        if frame.type is MessageType.ROUTING:
-            assert uid is not None
-            self.metrics.routing_log.append(
-                RoutingRecord(at, tx, frame.recv_node_id, uid, frame.hop_count)
-            )
         if only_to is not None:
             rxs = (only_to,) if self.link.can_hear(tx, only_to) else ()
         elif frame.type is not MessageType.DST_BCAST:

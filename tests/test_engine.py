@@ -175,6 +175,10 @@ def test_node_streams_do_not_perturb_each_other():
 # ---- event loop --------------------------------------------------------------
 
 
+def ignore(ev):
+    """A handler for tests that only look at the loop itself."""
+
+
 def test_same_tick_events_pop_in_schedule_order():
     eng = Engine(0)
     order = []
@@ -196,7 +200,7 @@ def test_time_ordering_beats_schedule_order():
 def test_scheduling_into_the_past_raises():
     eng = Engine(0)
     eng.schedule(5, TimerFire(0, "a", 0))
-    eng.run_until(5)
+    eng.run_until(5, ignore)
     assert eng.now == 5
     eng.schedule(5, TimerFire(0, "same-tick-ok", 0))
     with pytest.raises(PastEventError):
@@ -207,10 +211,10 @@ def test_run_until_stops_at_horizon():
     eng = Engine(0)
     for t in (1, 2, 50, 99, 101):
         eng.schedule(t, TimerFire(0, "t", t))
-    assert eng.run_until(100) == 4
+    assert eng.run_until(100, ignore) == 4
     assert eng.now == 100
     assert eng.pending() == 1
-    assert eng.run_until(101) == 1
+    assert eng.run_until(101, ignore) == 1
     assert eng.processed == 5
 
 
@@ -257,7 +261,7 @@ def test_trace_line_format():
     eng.schedule(11, FrameArrival((3,), Response(5, 3, -70), 3))
     eng.schedule(12, FrameArrival((4,), Routing(5, 8, 5, 4, 0), 5, uid=9))
     eng.schedule(13, FrameArrival((5,), Ack(4), 4))
-    eng.run_until(20)
+    eng.run_until(20, ignore)
     assert trace == [
         "2\tbeacon\t0\t-",
         "2\tepoch\t4\t-",

@@ -58,7 +58,7 @@ def test_single_delivered_packet_counts_wire_hops_plus_one():
 def test_mean_hops_covers_delivered_only():
     run = run_with([delivered(0, 2), delivered(1, 4), dropped(2, "max_attempts")])
     assert run.mean_hops() == pytest.approx(3.0)
-    assert run.dropped_count == 1
+    assert [o.uid for o in run.outcomes.values() if not o.delivered] == [2]
     assert run.drop_reasons() == {"max_attempts": 1}
     assert run.delivery_ratio() == pytest.approx(2 / 3)
 
@@ -253,7 +253,7 @@ def test_real_run_accounting_invariants(protocol):
     for seed in range(3):
         run = zero_interference_run(protocol, seed)
         assert run.generated == 3
-        assert run.delivered_count + run.dropped_count == run.generated
+        assert len(run.outcomes) == run.generated
         for uid, outcome in run.outcomes.items():
             assert outcome.uid == uid
             if not outcome.delivered:

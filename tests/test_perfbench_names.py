@@ -38,6 +38,9 @@ def test_tracer_wraps_counts_and_restores(monkeypatch):
         "rng.draws",
         "rng.coin_flips",
         "simulation.cca_checks",
+        # nodes put these on the air through transmit_at, not transmit
+        "simulation.transmissions.routing",
+        "simulation.transmissions.ack",
         "protocol.handshakes",
         "protocol.hop_attempts",
         "protocol.backoffs",

@@ -136,15 +136,6 @@ def test_routing_accept_acks_and_enqueues():
     assert 1 in sim._tx[sim.engine.now]
 
 
-def test_routing_for_someone_else_is_ignored():
-    sim = br_sim()
-    relay = sim.nodes[1]
-    before = sim.engine.pending()
-    relay.on_routing(Routing(0, 2, 0, 0xBEE, 0), tx=0, uid=5)
-    assert not relay.queue
-    assert sim.engine.pending() == before
-
-
 def test_duplicate_routing_acked_but_not_requeued():
     sim = br_sim()
     relay = sim.nodes[1]
@@ -362,7 +353,6 @@ def test_late_response_never_reaches_selection():
     queue_packet(node)
     node._start_handshake()
     node.on_frame(Response(0, 1, -61), tx=1, uid=None, measured=-55)
-    node.on_frame(Response(9, 1, -61), tx=1, uid=None, measured=-55)  # someone else's
     node.on_timer(node._timer)  # the window closes: the packet goes to 1
     node.on_frame(Response(0, 1, -58), tx=1, uid=None, measured=-55)  # too late
     node.on_timer(node._timer)  # no Ack: the hop backs off

@@ -443,6 +443,7 @@ def test_override_must_be_assignment():
     [
         ("br={epoch_ms: 1, epoch_ms: 2}", "duplicate key 'epoch_ms' on line 1 (first on line 1)"),
         ("br.relay_probability=[0.5", "expected ',' or ']', but got '<stream end>'"),
+        ("x=\x07", "unacceptable character #x0007: special characters are not allowed"),
     ],
 )
 def test_a_bad_override_value_gives_the_yaml_problem(override, problem):

@@ -120,16 +120,21 @@ def test_beacons_fan_out_by_sir_reach():
 
 def test_addressed_frames_gated_by_hearing_range():
     sim = cross_sim()
+    now = sim.engine.now
     before = sim.engine.pending()
-    sim.transmit(0, Routing(0, 2, 0, 2, 0), only_to=2, uid=9)
+    sim.transmit_at(now, 0, Routing(0, 2, 0, 2, 0), only_to=2, uid=9)
     assert sim.engine.pending() == before  # no arrival: 2 cannot hear 0
-    assert 0 in sim._tx[sim.engine.now]  # but the air time is still spent
-    [rec] = sim.metrics.routing_log
-    assert (rec.sender, rec.receiver, rec.uid, rec.hop_count) == (0, 2, 9, 0)
+    assert 0 in sim._tx[now]  # but the air time is still spent
     # an audible target gets a burst of one, though 1 hears 0 as well
-    sim.transmit(0, Routing(0, 2, 0, 3, 0), only_to=3, uid=9)
+    sim.transmit_at(now, 0, Routing(0, 2, 0, 3, 0), only_to=3, uid=9)
     [burst] = _arrivals(sim)
     assert (burst.rxs, burst.tx, burst.uid) == ((3,), 0, 9)
+    # the radio logs nothing: the node that puts a data frame on the air does
+    assert not sim.metrics.routing_log
+    sim.nodes[0]._on_air(Routing(0, 2, 0, 2, 0), 2, 9, now)
+    assert len(_arrivals(sim)) == 1  # still no arrival at 2
+    [rec] = sim.metrics.routing_log
+    assert (rec.time_ms, rec.sender, rec.receiver, rec.uid, rec.hop_count) == (now, 0, 2, 9, 0)
 
 
 def test_a_broadcast_is_one_arrival_for_all_its_hearers():
