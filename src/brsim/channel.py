@@ -130,7 +130,9 @@ def segments_intersect(p1: Position, p2: Position, q1: Position, q2: Position) -
 
 
 def wall_attenuation_db(tx: Position, rx: Position, walls: list[WallSegment]) -> float:
-    """Summed attenuation of every wall the tx->rx segment crosses."""
+    """Summed attenuation of every wall the segment crosses, the same both ways."""
+    if (rx.x, rx.y) < (tx.x, tx.y):  # the touch tests' float signs depend on the order
+        tx, rx = rx, tx
     total = 0.0
     for wall in walls:
         if segments_intersect(tx, rx, wall.a, wall.b):

@@ -11,7 +11,8 @@ Two subcommands:
 `--scenario` takes a YAML file path or the name of a bundled scenario.
 `run` writes one hop-record TSV per protocol plus summary.csv; `sweep` writes
 sweep.csv (node sweeps) or one sweep_p*.csv per probability value. With
---trace, each run also writes its full event trace, one event per line.
+--trace, each run also writes its full event trace, one event per line, to
+its own file as it runs (in the worker process that runs it).
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ class UsageError(SystemExit):
 
 # most values one --nodes or --p sweep may take; each value adds its own runs
 _MAX_SWEEP_VALUES = 1000
-
-# Trace lines joined into one string per write. A write per line takes about
-# twice as long; one string for the whole trace adds its size to peak memory
-# (+0.45 MB on a traced tandem12 --p sweep, against none for 1024 lines).
-_TRACE_CHUNK = 1024
 
 
 def _parse_node_range(text: str) -> range:
@@ -127,47 +123,38 @@ def _check_file_names(out: str, names: list[str]) -> None:
         )
 
 
-def _write_trace(path: str, lines: list[str]) -> None:
-    """One file line per trace line; no name of the caller's loop holds `lines`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            "\n".join(lines[i : i + _TRACE_CHUNK]) + "\n"
-            for i in range(0, len(lines), _TRACE_CHUNK)
-        )
+def _job(args: argparse.Namespace, scenario: Scenario, protocol: str, tag: str, seed: int):
+    """A run_many job; with --trace, its run writes `{stem}.trace` in --out."""
+    name = f"{_stem(scenario, protocol, tag, seed)}.trace"
+    return scenario, protocol, seed, os.path.join(args.out, name) if args.trace else None
 
 
 def _each_run(
-    jobs: list[tuple], tags: list[str], out: str, workers: int = 1
+    jobs: list[tuple], tags: list[str], workers: int = 1
 ) -> Iterator[tuple[str, str, RunMetrics]]:
     """Yield (tag, file stem, run) for each job in job order, as its run arrives.
 
-    A traced run's trace file is written and its trace dropped before the run
-    is yielded, so the caller never holds a trace. A run that raises ends the
-    stream with a RunError naming it.
+    A run that raises ends the stream with a RunError naming it.
     """
     runs = run_many(jobs, max_workers=workers)
-    for (scenario, protocol, seed, trace), tag in zip(jobs, tags):
+    for (scenario, protocol, seed, _), tag in zip(jobs, tags):
         try:
             run = next(runs)
         except Exception as exc:
             where = (f"scenario={scenario.name}", tag, f"protocol={protocol}", f"seed={seed}")
             raise RunError(f"{' '.join(filter(None, where))}: {exc}") from exc
-        stem = _stem(scenario, protocol, tag, seed)
-        if trace:
-            _write_trace(os.path.join(out, f"{stem}.trace"), run.trace)
-            run.trace = None
-        yield tag, stem, run
+        yield tag, _stem(scenario, protocol, tag, seed), run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, args.set)
-    jobs = [(scenario, p, args.seed, args.trace) for p in _protocols(scenario, args.protocol)]
+    jobs = [_job(args, scenario, p, "", args.seed) for p in _protocols(scenario, args.protocol)]
     os.makedirs(args.out, exist_ok=True)
     # a trace file's name is shorter than the hop file's of the same run
     hop_files = [f"{_stem(scenario, p, '', args.seed)}_hops.tsv" for _, p, _, _ in jobs]
     _check_file_names(args.out, ["summary.csv", *hop_files])
     runs = []
-    for _, stem, run in _each_run(jobs, [""] * len(jobs), args.out):
+    for _, stem, run in _each_run(jobs, [""] * len(jobs)):
         write_hop_trace(run, os.path.join(args.out, f"{stem}_hops.tsv"))
         print(_describe(run))
         runs.append(run)
@@ -203,23 +190,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         for protocol in _protocols(scenario, args.protocol):
             for seed in range(args.seeds):
-                jobs.append((scenario, protocol, seed, args.trace))
+                jobs.append(_job(args, scenario, protocol, tag, seed))
                 tags.append(tag)
 
     os.makedirs(args.out, exist_ok=True)
     names = [name for name, _ in sheet_of.values()]
-    if args.trace:
-        names += [
-            f"{_stem(scenario, protocol, tag, seed)}.trace"
-            for (scenario, protocol, seed, _), tag in zip(jobs, tags)
-        ]
+    names += [os.path.basename(path) for *_, path in jobs if path]
     _check_file_names(args.out, names)
     # a sheet's runs are contiguous: each is folded into its summary as it arrives
+    runs = _each_run(jobs, tags, args.jobs)
     sheets = [
-        (sheet, summarize(run for _, _, run in runs))
-        for sheet, runs in groupby(
-            _each_run(jobs, tags, args.out, args.jobs), key=lambda item: sheet_of[item[0]]
-        )
+        (sheet, summarize(run for _, _, run in group))
+        for sheet, group in groupby(runs, key=lambda item: sheet_of[item[0]])
     ]
     for (name, heading), rows in sheets:
         write_csv(rows, os.path.join(args.out, name))

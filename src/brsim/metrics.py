@@ -75,7 +75,7 @@ class RunMetrics:
     hops: list[HopRecord] = field(default_factory=list)
     routing_log: list[RoutingRecord] = field(default_factory=list)
     outcomes: dict[int, Outcome] = field(default_factory=dict)
-    trace: list[str] | None = None
+    trace: None = None  # always None: runs stream their traces; perfbench/layers.py reads it
 
     @property
     def delivered_count(self) -> int:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
+from contextlib import nullcontext
+from typing import TextIO
 
 from .baseline import AodvNode
 from .br_node import BrNode, allow_parking
@@ -59,7 +61,7 @@ def _link_table(scenario) -> LinkCache:
 class Simulation:
     """One protocol, one scenario, one seed."""
 
-    def __init__(self, scenario, protocol: str, seed: int, trace: bool = False) -> None:
+    def __init__(self, scenario, protocol: str, seed: int, trace: TextIO | None = None) -> None:
         if protocol not in _NODE_CLASSES:
             raise ValueError(f"unknown protocol: {protocol!r}")
         self.scenario = scenario
@@ -68,10 +70,8 @@ class Simulation:
         self.br_params = scenario.br
         self.csma_params = scenario.csma
         self.link = _link_table(scenario)
-        self.engine = Engine(seed, trace=[] if trace else None)
-        self.metrics = RunMetrics(
-            protocol, len(self.topology.nodes), seed, trace=self.engine.trace
-        )
+        self.engine = Engine(seed, trace)
+        self.metrics = RunMetrics(protocol, len(self.topology.nodes), seed)
         # first at tick 0: the nodes built next schedule their own events after it
         self.engine.schedule(0, BeaconTick(self.topology.destination))
         cls = _NODE_CLASSES[protocol]
@@ -289,9 +289,13 @@ _DISPATCH = {
 }
 
 
-def run_scenario(scenario, protocol: str, seed: int, trace: bool = False) -> RunMetrics:
-    """Build and run one simulation; module-level so workers can import it."""
-    return Simulation(scenario, protocol, seed, trace=trace).run()
+def run_scenario(scenario, protocol: str, seed: int, trace_path: str | None = None) -> RunMetrics:
+    """Build and run one simulation, writing its trace to `trace_path` if given.
+
+    Module-level so workers can import it: a pooled run writes its own file.
+    """
+    with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as trace:
+        return Simulation(scenario, protocol, seed, trace=trace).run()
 
 
 # Pooled jobs in flight per worker. While the job at the head of the window
@@ -305,7 +309,7 @@ _JOBS_PER_WORKER = 4
 
 
 def run_many(jobs: list[tuple], max_workers: int = 1) -> Iterator[RunMetrics]:
-    """Run (scenario, protocol, seed, trace) jobs, yielding results in job order.
+    """Run (scenario, protocol, seed, trace_path) jobs, yielding results in job order.
 
     Results are identical regardless of worker count: every run is seeded
     independently and shares no mutable state. Serially, a job runs only when

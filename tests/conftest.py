@@ -52,7 +52,7 @@ def make_scenario(
     )
 
 
-def make_sim(positions, destination, protocol, seed=0, trace=False, **kwargs):
+def make_sim(positions, destination, protocol, seed=0, trace=None, **kwargs):
     return Simulation(
         make_scenario(positions, destination, **kwargs), protocol, seed, trace=trace
     )

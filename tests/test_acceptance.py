@@ -49,7 +49,7 @@ def tandem_sweep():
             "tandem12", overrides=[f"topology.count={n}", *SWEEP_OVERRIDES]
         )
         jobs = [
-            (scenario, protocol, seed, False)
+            (scenario, protocol, seed, None)
             for protocol in ("br", "aodv")
             for seed in range(SWEEP_SEEDS)
         ]
@@ -357,8 +357,8 @@ def test_criterion_7_frame_roundtrip():
     _verdict(7, True, f"{count} frames round-tripped at declared sizes")
 
 
-def test_criterion_8_determinism():
-    """Same seed means identical traces, run twice or across processes."""
+def test_criterion_8_determinism(tmp_path):
+    """Same seed means identical trace files, run twice or across processes."""
     scenario = load_scenario(
         "tandem12",
         overrides=[
@@ -368,24 +368,19 @@ def test_criterion_8_determinism():
             "traffic.inter_arrival_ms=30000",
         ],
     )
-    repeat_ok = True
-    for protocol in ("br", "aodv"):
-        first = Simulation(scenario, protocol, 7, trace=True).run()
-        second = Simulation(scenario, protocol, 7, trace=True).run()
-        if first.trace != second.trace or first.outcomes != second.outcomes:
-            repeat_ok = False
 
-    jobs = [
-        (scenario, protocol, seed, True)
-        for protocol in ("br", "aodv")
-        for seed in range(3)
-    ]
-    serial = list(run_many(jobs, max_workers=1))
-    parallel = list(run_many(jobs, max_workers=2))
-    pooled_ok = len(serial) == len(parallel) == len(jobs) and all(
-        a.trace == b.trace and a.outcomes == b.outcomes
-        for a, b in zip(serial, parallel)
-    )
+    def traced(runs, workers, label):
+        """(outcomes, trace file bytes) of each (protocol, seed) run."""
+        paths = [tmp_path / f"{p}_seed{seed}_{label}.trace" for p, seed in runs]
+        jobs = [(scenario, p, seed, str(path)) for (p, seed), path in zip(runs, paths)]
+        done = list(run_many(jobs, max_workers=workers))
+        return [(run.outcomes, path.read_bytes()) for run, path in zip(done, paths)]
+
+    repeated = [("br", 7), ("aodv", 7)]
+    repeat_ok = traced(repeated, 1, "first") == traced(repeated, 1, "second")
+    runs = [(protocol, seed) for protocol in ("br", "aodv") for seed in range(3)]
+    serial = traced(runs, 1, "serial")
+    pooled_ok = len(serial) == len(runs) and serial == traced(runs, 2, "pooled")
 
     ok = repeat_ok and pooled_ok
     _verdict(

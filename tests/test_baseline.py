@@ -1,5 +1,7 @@
 """CSMA/CA channel access and the greedy always-on forwarding policy."""
 
+import io
+
 import pytest
 
 from brsim.baseline import CsmaParams
@@ -131,7 +133,8 @@ def test_own_frames_serialize_through_the_idle_gap():
 
 
 def test_busy_channel_exhausts_csma_then_backs_off_and_drops():
-    sim = aodv_sim(trace=True, horizon_ms=400_000)
+    trace = io.StringIO()
+    sim = aodv_sim(trace=trace, horizon_ms=400_000)
     sim.channel_busy = lambda me: True
     node = sim.nodes[1]
     log = record_tx(sim)
@@ -139,7 +142,7 @@ def test_busy_channel_exhausts_csma_then_backs_off_and_drops():
     sim.engine.run_until(400_000, sim._handle)
     # every handshake surveys the channel 1 + max_csma_backoffs times, and the
     # initial attempt plus max_tx_attempts retries all abandon the same way
-    cca_fires = [ln for ln in sim.engine.trace if "\tcca:" in ln]
+    cca_fires = [ln for ln in trace.getvalue().splitlines() if "\tcca:" in ln]
     assert len(cca_fires) == 9 * (1 + sim.csma_params.max_csma_backoffs)
     assert tx_ticks(log, 1) == []  # the RTS never reached the air
     assert sim.metrics.outcomes[0].reason == "max_attempts"

@@ -71,6 +71,17 @@ def test_rssi_symmetric():
         assert rssi(t.position(0), t.position(1), t, DEFAULTS) == rssi(
             t.position(1), t.position(0), t, DEFAULTS
         )
+    # a wall's end on the link: the touch test compares float orientations
+    # with 0, and those depend on which end of the link comes first
+    wall = WallSegment(Position(0.0, 0.3), Position(0.5, 0.5), 20.0)
+    t = topo([(1.0, 0.2), (0.0, 0.8)], walls=[wall])
+    assert rssi(t.position(0), t.position(1), t, DEFAULTS) == -62
+    assert rssi(t.position(1), t.position(0), t, DEFAULTS) == -62
+    # ends on a 0.1 m grid touch each other often, and 0.1 is inexact in binary
+    for _ in range(10_000):
+        a, b, c, d = (Position(rng.randrange(11) / 10, rng.randrange(11) / 10) for _ in range(4))
+        walls = [WallSegment(c, d, 20.0)]
+        assert wall_attenuation_db(a, b, walls) == wall_attenuation_db(b, a, walls), (a, b, c, d)
 
 
 def test_topology_destination_must_be_a_node():

@@ -1,15 +1,19 @@
 """Command-line surface: run and sweep subcommands, outputs, exit codes."""
 
+import io
 import os
 import weakref
 
 import pytest
 
 import brsim.cli
+import brsim.engine
 import brsim.simulation
 from brsim.cli import _parse_node_range, _parse_p_range, main
+from brsim.engine import TRACE_LINES, DecisionEpoch
 from brsim.metrics import CSV_HEADER, read_csv, summarize
 from brsim.scenario import load_scenario
+from brsim.simulation import Simulation
 
 FAST = [
     "--set", "horizon_ms=120000",
@@ -86,16 +90,48 @@ def test_run_trace_files_are_deterministic(tmp_path):
 
 
 def test_a_trace_file_holds_the_runs_trace_lines_across_write_chunks(tmp_path, monkeypatch):
-    monkeypatch.setattr(brsim.cli, "_TRACE_CHUNK", 5)  # many chunks, the last one short
+    whole = io.StringIO()
+    Simulation(load_scenario("tandem12", list(FAST[1::2])), "aodv", 5, trace=whole).run()
+    lines = whole.getvalue().splitlines()
+    assert len(lines) < brsim.engine._TRACE_CHUNK and len(lines) % 5  # one write here
+    monkeypatch.setattr(brsim.engine, "_TRACE_CHUNK", 5)  # many writes, the last one short
     assert run_cli(
         "run", "--scenario", "tandem12", "--protocol", "aodv", "--seed", "5",
         "--trace", "--out", str(tmp_path), *FAST,
     ) == 0
-    scenario = load_scenario("tandem12", list(FAST[1::2]))
-    lines = brsim.simulation.run_scenario(scenario, "aodv", 5, trace=True).trace
-    assert len(lines) % 5
     text = (tmp_path / "tandem12_aodv_seed5.trace").read_text(encoding="utf-8")
-    assert text == "".join(f"{line}\n" for line in lines)
+    assert text == whole.getvalue()
+
+
+def test_a_failed_run_keeps_its_trace_up_to_the_failing_event(tmp_path, capsys, monkeypatch):
+    scenario = load_scenario("tandem12", list(FAST[1::2]))
+    whole = io.StringIO()
+    Simulation(scenario, "br", 5, trace=whole).run()
+    epochs = 0
+    failed_at = []
+
+    def failing_epoch(sim, ev):
+        nonlocal epochs
+        epochs += 1
+        if epochs == 200:
+            failed_at.extend(TRACE_LINES[DecisionEpoch](sim.engine.now, ev))
+            raise RuntimeError("injected failure")
+        sim.nodes[ev.node].on_epoch()
+
+    monkeypatch.setitem(brsim.simulation._DISPATCH, DecisionEpoch, failing_epoch)
+    monkeypatch.setattr(brsim.engine, "_TRACE_CHUNK", 64)
+    code = run_cli(
+        "run", "--scenario", "tandem12", "--protocol", "br", "--seed", "5",
+        "--trace", "--out", str(tmp_path), *FAST,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: scenario=tandem12 protocol=br seed=5: injected failure\n"
+    )
+    lines = (tmp_path / "tandem12_br_seed5.trace").read_text(encoding="utf-8").splitlines()
+    assert lines[-1] == failed_at[0]
+    assert lines == whole.getvalue().splitlines()[: len(lines)]
+    assert len(lines) > 64  # written in more than one chunk
 
 
 def test_run_missing_scenario_exits_2(tmp_path, capsys):
@@ -303,6 +339,20 @@ def test_sweep_trace_files_named_by_point(tmp_path):
     assert (tmp_path / "tandem12_br_n5_seed0.trace").exists()
 
 
+def test_pooled_sweep_writes_the_trace_files_of_a_serial_one(tmp_path):
+    files = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli(
+            "sweep", "--scenario", "tandem12", "--nodes", "5..6", "--seeds", "2",
+            "--jobs", jobs, "--trace", "--out", str(out), *FAST,
+        ) == 0
+        files[jobs] = {path.name: path.read_bytes() for path in out.glob("*.trace")}
+    assert len(files["1"]) == 2 * 2 * 2
+    assert all(files["1"].values())
+    assert files["2"] == files["1"]
+
+
 def test_traced_sweep_summarizes_runs_whose_traces_are_written_and_dropped(
     tmp_path, monkeypatch
 ):
@@ -340,10 +390,10 @@ def test_sweep_jobs_outside_one_to_cpu_count_is_a_usage_error(tmp_path, capsys, 
 def test_sweep_error_names_the_run_that_failed(tmp_path, capsys, monkeypatch):
     real = brsim.simulation.run_scenario
 
-    def failing_at_seed_3(scenario, protocol, seed, trace=False):
+    def failing_at_seed_3(scenario, protocol, seed, trace_path=None):
         if seed == 3:
             raise RuntimeError("injected failure")
-        return real(scenario, protocol, seed, trace=trace)
+        return real(scenario, protocol, seed, trace_path)
 
     monkeypatch.setattr(brsim.simulation, "run_scenario", failing_at_seed_3)
     code = run_cli(
@@ -360,10 +410,10 @@ def test_sweep_error_names_the_run_that_failed(tmp_path, capsys, monkeypatch):
 def test_p_sweep_failing_in_its_second_value_writes_no_sheet(tmp_path, capsys, monkeypatch):
     real = brsim.simulation.run_scenario
 
-    def failing_at_p_07(scenario, protocol, seed, trace=False):
+    def failing_at_p_07(scenario, protocol, seed, trace_path=None):
         if scenario.br.relay_probability == 0.7:
             raise RuntimeError("injected failure")
-        return real(scenario, protocol, seed, trace=trace)
+        return real(scenario, protocol, seed, trace_path)
 
     monkeypatch.setattr(brsim.simulation, "run_scenario", failing_at_p_07)
     code = run_cli(
@@ -384,10 +434,10 @@ def test_run_with_a_failing_protocol_reports_it_once_and_writes_no_summary(
 ):
     real = brsim.simulation.run_scenario
 
-    def failing_aodv(scenario, protocol, seed, trace=False):
+    def failing_aodv(scenario, protocol, seed, trace_path=None):
         if protocol == "aodv":
             raise RuntimeError("injected failure")
-        return real(scenario, protocol, seed, trace=trace)
+        return real(scenario, protocol, seed, trace_path)
 
     monkeypatch.setattr(brsim.simulation, "run_scenario", failing_aodv)
     code = run_cli(

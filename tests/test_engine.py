@@ -1,5 +1,6 @@
 """Event loop ordering, trace format, and PRNG reference vectors."""
 
+import io
 import math
 
 import pytest
@@ -250,7 +251,7 @@ def test_handler_may_schedule_followups():
 
 
 def test_trace_line_format():
-    trace = []
+    trace = io.StringIO()
     eng = Engine(0, trace=trace)
     eng.schedule(2, BeaconTick(0))
     eng.schedule(2, DecisionEpoch(4))
@@ -262,7 +263,7 @@ def test_trace_line_format():
     eng.schedule(12, FrameArrival((4,), Routing(5, 8, 5, 4, 0), 5, uid=9))
     eng.schedule(13, FrameArrival((5,), Ack(4), 4))
     eng.run_until(20, ignore)
-    assert trace == [
+    assert trace.getvalue().splitlines() == [
         "2\tbeacon\t0\t-",
         "2\tepoch\t4\t-",
         "5\ttimer\t3\tx:7",

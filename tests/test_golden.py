@@ -10,6 +10,7 @@ change that alters simulated behaviour on purpose, and say so in the change.
 """
 
 import hashlib
+import io
 import json
 import pathlib
 
@@ -89,9 +90,9 @@ def behaviour_hash(metrics) -> str:
     return h.hexdigest()
 
 
-def trace_hash(metrics) -> str:
+def trace_hash(trace: io.StringIO) -> str:
     """sha256 of the trace file `brsim run --trace` writes for this run."""
-    return hashlib.sha256("".join(f"{line}\n" for line in metrics.trace).encode()).hexdigest()
+    return hashlib.sha256(trace.getvalue().encode()).hexdigest()
 
 
 def group_hashes(group: str) -> dict[str, str]:
@@ -107,8 +108,9 @@ def group_hashes(group: str) -> dict[str, str]:
 def traced_hashes() -> dict[str, str]:
     out = {}
     for key, (build, protocol, seed) in TRACED.items():
-        metrics = Simulation(build(), protocol, seed, trace=True).run()
-        out[key] = trace_hash(metrics)
+        trace = io.StringIO()
+        metrics = Simulation(build(), protocol, seed, trace=trace).run()
+        out[key] = trace_hash(trace)
         out[key + "/behaviour"] = behaviour_hash(metrics)
     return out
 

@@ -16,7 +16,7 @@ from brsim.scenario import load_scenario
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_wraps_counts_and_restores(monkeypatch):
+def test_tracer_wraps_counts_and_restores(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
 
@@ -26,7 +26,8 @@ def test_tracer_wraps_counts_and_restores(monkeypatch):
         tracer.install()
         scenario = load_scenario("tandem12", ["topology.count=5"])
         for protocol in ("br", "aodv"):
-            simulation.run_scenario(scenario, protocol, 0, trace=True)
+            # a traced run: the tracer reads its RunMetrics.trace
+            simulation.run_scenario(scenario, protocol, 0, trace_path=str(tmp_path / protocol))
     finally:
         tracer.uninstall()
     exact = tracer.exact()

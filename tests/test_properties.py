@@ -11,6 +11,7 @@ seed, on floors whose timing forces same-tick ties; an untraced `aodv` run
 must also keep the traced run's event order.
 """
 
+import io
 from collections import Counter, defaultdict
 
 from hypothesis import given, settings
@@ -199,7 +200,7 @@ def test_untraced_runs_behave_as_traced_runs(scenario, protocol, seed):
     """Every event an untraced run skips (after quiescence, repeat beacon
     arrivals, parked br epochs) leaves its results as a traced run's."""
     quick = Simulation(scenario, protocol, seed).run()
-    full = Simulation(scenario, protocol, seed, trace=True).run()
+    full = Simulation(scenario, protocol, seed, trace=io.StringIO()).run()
     for field in ("generated", "outcomes", "hops", "routing_log"):
         assert getattr(quick, field) == getattr(full, field), field
 
@@ -229,5 +230,5 @@ def test_untraced_aodv_runs_keep_the_event_order(scenario, seed):
     csma-idle timers and beacon arrivals, the untraced run processes the
     traced run's events in the same order, up to its quiescence stop."""
     quick = _kept(_processed(Simulation(scenario, "aodv", seed)))
-    full = _kept(_processed(Simulation(scenario, "aodv", seed, trace=True)))
+    full = _kept(_processed(Simulation(scenario, "aodv", seed, trace=io.StringIO())))
     assert quick == full[: len(quick)]

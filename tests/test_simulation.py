@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import io
 import multiprocessing.process
 import os
+import tracemalloc
 import typing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -24,6 +26,13 @@ from conftest import NO_INTERFERENCE, make_scenario, make_sim
 # away that its beacons are inaudible and never perturb the others
 CROSS = {0: (0.0, 0.0), 1: (10.0, 0.0), 3: (5.0, 0.0), 2: (10_000.0, 0.0)}
 QUIET_TRAFFIC = {"start_ms": 10**9, "sources": (0,)}
+
+
+def traced_run(scenario, protocol, seed):
+    """Run with a trace; the run's metrics and its trace lines."""
+    trace = io.StringIO()
+    metrics = Simulation(scenario, protocol, seed, trace=trace).run()
+    return metrics, trace.getvalue().splitlines()
 
 
 def cross_sim(channel=None, protocol="br", seed=0):
@@ -225,10 +234,9 @@ def test_traffic_schedule_start_plus_inter_arrival():
         start_ms=500,
         horizon_ms=20_000,
     )
-    sim = Simulation(scenario, "br", seed=3, trace=True)
-    metrics = sim.run()
+    metrics, trace = traced_run(scenario, "br", 3)
     assert metrics.generated == 4
-    lines = [ln for ln in metrics.trace if "\ttraffic:" in ln]
+    lines = [ln for ln in trace if "\ttraffic:" in ln]
     times = sorted(int(ln.split("\t")[0]) for ln in lines)
     assert times == [500, 500, 7500, 7500]
     assert set(metrics.outcomes) == {0, 1, 2, 3}
@@ -279,20 +287,19 @@ def test_epochs_offset_then_periodic_per_node():
         start_ms=10**9,
         horizon_ms=30_000,
     )
-    sim = Simulation(scenario, "br", seed=1, trace=True)
-    metrics = sim.run()
+    _, trace = traced_run(scenario, "br", 1)
     epoch_ms = scenario.br.epoch_ms
     for node in (0, 1):
         times = [
             int(ln.split("\t")[0])
-            for ln in metrics.trace
+            for ln in trace
             if ln.split("\t")[1] == "epoch" and ln.split("\t")[2] == str(node)
         ]
         assert times, f"node {node} never took an epoch"
         assert 0 <= times[0] < epoch_ms
         assert all(b - a == epoch_ms for a, b in zip(times, times[1:]))
     assert not any(
-        ln.split("\t")[1] == "epoch" and ln.split("\t")[2] == "2" for ln in metrics.trace
+        ln.split("\t")[1] == "epoch" and ln.split("\t")[2] == "2" for ln in trace
     )
 
 
@@ -300,9 +307,8 @@ def test_aodv_runs_take_no_epochs():
     sim = cross_sim(protocol="aodv")
     sim.run()
     assert sim.engine.trace is None
-    sim2 = Simulation(make_scenario(CROSS, 2, **QUIET_TRAFFIC), "aodv", 0, trace=True)
-    metrics = sim2.run()
-    assert not any("\tepoch\t" in ln for ln in metrics.trace)
+    _, trace = traced_run(make_scenario(CROSS, 2, **QUIET_TRAFFIC), "aodv", 0)
+    assert not any("\tepoch\t" in ln for ln in trace)
 
 
 # ---- determinism ----------------------------------------------------------------------
@@ -323,39 +329,39 @@ def chain_scenario():
 @pytest.mark.parametrize("protocol", ["br", "aodv"])
 def test_identical_seed_identical_trace(protocol):
     scenario = chain_scenario()
-    a = run_scenario(scenario, protocol, 7, trace=True)
-    b = run_scenario(scenario, protocol, 7, trace=True)
-    assert a.trace == b.trace
+    a, a_trace = traced_run(scenario, protocol, 7)
+    b, b_trace = traced_run(scenario, protocol, 7)
+    assert a_trace == b_trace
     assert a.outcomes == b.outcomes
     assert a.hops == b.hops
-    c = run_scenario(scenario, protocol, 8, trace=True)
-    assert c.trace != a.trace
+    _, c_trace = traced_run(scenario, protocol, 8)
+    assert c_trace != a_trace
 
 
-def test_run_many_preserves_job_order_and_results():
+def test_run_many_preserves_job_order_and_results(tmp_path):
     scenario = chain_scenario()
-    jobs = [(scenario, p, s, True) for p in ("br", "aodv") for s in range(3)]
-    serial = list(run_many(jobs, max_workers=1))
-    assert [(r.protocol, r.seed) for r in serial] == [
-        ("br", 0), ("br", 1), ("br", 2), ("aodv", 0), ("aodv", 1), ("aodv", 2)
-    ]
-    parallel = list(run_many(jobs, max_workers=2))
-    assert len(parallel) == len(serial)
-    for a, b in zip(serial, parallel):
-        assert a.trace == b.trace
-        assert a.outcomes == b.outcomes
+    order = [(p, s) for p in ("br", "aodv") for s in range(3)]
+    results = {}
+    for workers in (1, 2):
+        paths = [tmp_path / f"{p}{s}_jobs{workers}.trace" for p, s in order]
+        jobs = [(scenario, p, s, str(path)) for (p, s), path in zip(order, paths)]
+        runs = list(run_many(jobs, max_workers=workers))
+        assert [(r.protocol, r.seed) for r in runs] == order
+        assert all(r.trace is None for r in runs)  # each trace went to its file
+        results[workers] = [(r.outcomes, path.read_bytes()) for r, path in zip(runs, paths)]
+    assert results[1] == results[2]
 
 
 def test_serial_run_many_starts_each_job_when_its_result_is_taken(monkeypatch):
     started = []
 
-    def recording(scenario, protocol, seed, trace=False):
+    def recording(scenario, protocol, seed, trace_path=None):
         started.append(seed)
-        return run_scenario(scenario, protocol, seed, trace=trace)
+        return run_scenario(scenario, protocol, seed, trace_path)
 
     monkeypatch.setattr(simulation, "run_scenario", recording)
     scenario = chain_scenario()
-    runs = run_many([(scenario, "br", s, False) for s in range(3)], max_workers=1)
+    runs = run_many([(scenario, "br", s, None) for s in range(3)], max_workers=1)
     assert started == []
     assert next(runs).seed == 0
     assert started == [0]
@@ -363,7 +369,7 @@ def test_serial_run_many_starts_each_job_when_its_result_is_taken(monkeypatch):
 
 def test_run_many_yields_the_runs_before_a_failed_job_then_its_error():
     scenario = chain_scenario()
-    jobs = [(scenario, "br", 0, False), (scenario, "br", 1, False), (scenario, "olsr", 2, False)]
+    jobs = [(scenario, "br", 0, None), (scenario, "br", 1, None), (scenario, "olsr", 2, None)]
     for workers in (1, 2):
         runs = run_many(jobs, max_workers=workers)
         assert [next(runs).seed, next(runs).seed] == [0, 1]
@@ -383,7 +389,7 @@ def test_pooled_run_many_keeps_a_bounded_window_in_flight(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
     scenario = chain_scenario()
     window = 2 * simulation._JOBS_PER_WORKER
-    runs = run_many([(scenario, "br", s, False) for s in range(50)], max_workers=2)
+    runs = run_many([(scenario, "br", s, None) for s in range(50)], max_workers=2)
     assert next(runs).seed == 0
     assert submitted == list(range(window))
     assert [r.seed for r in runs] == list(range(1, 50))
@@ -392,7 +398,7 @@ def test_pooled_run_many_keeps_a_bounded_window_in_flight(monkeypatch):
     # a failed job raises once the run before it is taken; the jobs past
     # the window behind it never start
     submitted.clear()
-    jobs = [(scenario, "olsr" if s == 1 else "br", s, False) for s in range(50)]
+    jobs = [(scenario, "olsr" if s == 1 else "br", s, None) for s in range(50)]
     runs = run_many(jobs, max_workers=2)
     assert next(runs).seed == 0
     with pytest.raises(ValueError, match="unknown protocol"):
@@ -410,7 +416,7 @@ def test_run_many_starts_no_more_workers_than_jobs(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
     scenario = chain_scenario()
-    runs = list(run_many([(scenario, "br", s, False) for s in range(2)], max_workers=6))
+    runs = list(run_many([(scenario, "br", s, None) for s in range(2)], max_workers=6))
     assert [r.seed for r in runs] == [0, 1]
     assert len(started) == 2
 
@@ -420,7 +426,7 @@ def test_run_many_starts_no_more_workers_than_jobs(monkeypatch):
 
 def _untraced_and_traced(scenario, protocol, seed=0, prepare=lambda sim: None):
     runs = []
-    for trace in (False, True):
+    for trace in (None, io.StringIO()):
         sim = Simulation(scenario, protocol, seed, trace=trace)
         prepare(sim)
         sim.run()
@@ -496,7 +502,7 @@ def test_untraced_spiral_stops_early_with_identical_results():
 
 def test_hand_driven_run_until_is_never_stopped_early():
     scenario = chain_scenario()
-    full = Simulation(scenario, "br", 0, trace=True)
+    full = Simulation(scenario, "br", 0, trace=io.StringIO())
     full.run()
     sim = Simulation(scenario, "br", 0)
     sim.engine.run_until(scenario.horizon_ms, sim._handle)
@@ -613,10 +619,10 @@ def _beacon_arrivals(scenario, trace):
 
 def test_untraced_runs_send_beacons_only_to_stations_without_a_reading():
     scenario = BEACON_SKIP_SCENARIOS["tandem_n15"]()
-    untraced = _beacon_arrivals(scenario, trace=False)
+    untraced = _beacon_arrivals(scenario, trace=None)
     assert untraced and not any(untraced)
     # a traced run keeps the repeat arrivals, because its trace records them
-    assert any(_beacon_arrivals(scenario, trace=True))
+    assert any(_beacon_arrivals(scenario, trace=io.StringIO()))
 
 
 # ---- parked epoch clocks ----------------------------------------------------------
@@ -733,7 +739,7 @@ def test_scenarios_of_equal_topology_and_channel_share_one_link_table(monkeypatc
         dataclasses.replace(chain_scenario(), br=BrParams(relay_probability=p))
         for p in (0.3, 0.5, 0.7)
     ]
-    runs = list(run_many([(sheet, "br", 0, False) for sheet in sheets]))
+    runs = list(run_many([(sheet, "br", 0, None) for sheet in sheets]))
     assert len(runs) == 3
     assert len(builds()) == 1
 
@@ -745,7 +751,7 @@ def test_scenarios_of_equal_topology_and_channel_share_one_link_table(monkeypatc
 def test_pooled_runs_of_one_scenario_build_one_link_table_per_worker(monkeypatch, tmp_path):
     builds = _link_builds(monkeypatch, tmp_path)
     scenario = chain_scenario()
-    runs = list(run_many([(scenario, "br", s, False) for s in range(6)], max_workers=2))
+    runs = list(run_many([(scenario, "br", s, None) for s in range(6)], max_workers=2))
     assert [r.seed for r in runs] == list(range(6))
     assert 1 <= len(builds()) <= 2
     assert len(set(builds())) == len(builds())
@@ -759,7 +765,29 @@ def test_every_event_type_has_a_handler():
 # ---- lifetime ---------------------------------------------------------------------
 
 
-def test_finished_runs_are_freed_without_a_gc_pass():
+def test_a_traced_runs_memory_does_not_grow_with_its_horizon(tmp_path):
+    """A traced run writes its trace as it goes: ten times the horizon leaves
+    its peak allocation where it was."""
+
+    def traced(name, overrides):
+        scenario = load_scenario("tandem12", overrides)
+        run_scenario(scenario, "br", 0)  # builds the link table both runs share
+        path = tmp_path / f"{name}.trace"
+        tracemalloc.start()
+        try:
+            run_scenario(scenario, "br", 0, trace_path=str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, path.stat().st_size
+
+    short_peak, short_size = traced("short", [])
+    long_peak, long_size = traced("long", ["horizon_s=15000", "traffic.packets_per_source=10"])
+    assert long_size > 5 * short_size
+    assert long_peak <= 1.5 * short_peak
+
+
+def test_finished_runs_are_freed_without_a_gc_pass(tmp_path):
     def live_simulations():
         return sum(isinstance(o, Simulation) for o in gc.get_objects())
 
@@ -769,8 +797,8 @@ def test_finished_runs_are_freed_without_a_gc_pass():
     gc.disable()
     try:
         for protocol in ("br", "aodv"):
-            for trace in (False, True):
-                run_scenario(scenario, protocol, 0, trace=trace)
+            for trace_path in (None, str(tmp_path / f"{protocol}.trace")):
+                run_scenario(scenario, protocol, 0, trace_path)
         assert live_simulations() == before
     finally:
         gc.enable()
