@@ -54,42 +54,22 @@ class AodvNode(RadioNode):
         # Frames waiting for the channel as (frame, target, uid). The head is
         # the frame in contention: it leaves when its transmission tick has
         # passed or when it is abandoned. While the queue has a head, exactly
-        # one of a `cca` timer, a `csma-idle` timer or a reserved idle key is
-        # in flight, so no timer is stale.
+        # one of a `cca` timer or a `csma-idle` timer is in flight, so no
+        # timer is stale.
         self._csma_queue: deque[tuple[Frame, int | None, int | None]] = deque()
         self._csma_nb = 0  # busy CCAs of the head; its backoff window grows with them
         # at most one of each is in flight, and neither is told apart by
         # identity, so each is one event scheduled again and again
         self._cca = TimerFire(node_id, "cca")
         self._idle = TimerFire(node_id, "csma-idle")
-        self.lazy_idle = False  # reserve lone csma-idle timers; see _cca_sample
-        self._idle_key: tuple[int, int, int] | None = None  # (time, since, seq)
 
     # ---- channel access ---------------------------------------------------
 
     def send(self, frame: Frame, target: int | None = None, uid: int | None = None) -> None:
         """Queue the frame for the channel; it goes on the air after a clear CCA."""
-        if self._idle_key is not None:
-            self._settle_idle()
         self._csma_queue.append((frame, target, uid))
         if len(self._csma_queue) == 1:
             self._csma_start()
-
-    def _settle_idle(self) -> None:
-        """Before a frame queues, do what the reserved csma-idle timer did or will do.
-
-        If it would have fired before the event being processed, in the
-        engine's (time, since, seq) order, it popped the head then. If not,
-        it is pushed now with its reserved key, so it fires where it would
-        have, and the new frame waits behind the head.
-        """
-        engine = self.sim.engine
-        key, self._idle_key = self._idle_key, None
-        if (engine.now, engine.since, engine.seq) > key:
-            self._csma_queue.popleft()
-        else:
-            time, since, seq = key
-            engine.schedule(time, self._idle, since=since, seq=seq)
 
     def _csma_start(self) -> None:
         """The queue head starts contending with a fresh backoff window."""
@@ -125,13 +105,8 @@ class AodvNode(RadioNode):
         frame, target, uid = self._csma_queue[0]
         at = engine.now + self.csma.cca_ms
         self._on_air(frame, target, uid, at)
-        # hold the channel state until the transmission tick has passed; with
-        # nothing queued behind the head, the timer would only pop it, so a
-        # lazy station reserves the timer's key and leaves the pop to send
-        if self.lazy_idle and len(self._csma_queue) == 1:
-            self._idle_key = (at + 1, engine.now, engine.reserve())
-        else:
-            engine.schedule(at + 1, self._idle)
+        # hold the channel state until the transmission tick has passed
+        engine.schedule(at + 1, self._idle)
 
     def _csma_abandon(self) -> None:
         frame = self._csma_queue.popleft()[0]

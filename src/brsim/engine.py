@@ -207,9 +207,8 @@ class Engine:
         self.trace = trace
         self.now = 0
         self.processed = 0
-        # the tick at which the event being processed was scheduled, and its seq
+        # the tick at which the event being processed was scheduled
         self.since = 0
-        self.seq = -1
         self._heap: list[tuple[int, int, int, Event]] = []
         self._seq = 0
         self._streams = _Streams(run_seed)
@@ -218,12 +217,10 @@ class Engine:
         self.grid_ms = 0
         self.parked: dict = {}
 
-    def schedule(
-        self, time: int, event: Event, since: int | None = None, seq: int | None = None
-    ) -> None:
+    def schedule(self, time: int, event: Event, since: int | None = None) -> None:
         """Push an event; `since` defaults to now (see the module docstring).
 
-        `seq` is a key taken from reserve(), or by default the next one.
+        It sorts after every event already pushed with the same time and since.
         """
         now = self.now
         if time < now:
@@ -232,20 +229,9 @@ class Engine:
             clock = self.parked.get(time % self.grid_ms)
             if clock is not None:
                 clock.wake()
-        if seq is None:
-            seq = self._seq
-            self._seq += 1
-        heapq.heappush(self._heap, (time, now if since is None else since, seq, event))
-
-    def reserve(self) -> int:
-        """Take the next seq without pushing anything, for an event pushed later.
-
-        An event pushed later with the reserved seq and its original time and
-        since sorts where it would have sorted if pushed now.
-        """
         seq = self._seq
         self._seq += 1
-        return seq
+        heapq.heappush(self._heap, (time, now if since is None else since, seq, event))
 
     def pending(self) -> int:
         return len(self._heap)
@@ -264,11 +250,10 @@ class Engine:
         heap, pop, out, trace = self._heap, heapq.heappop, self.trace, []
         try:
             while heap and heap[0][0] <= horizon:
-                time, since, seq, event = pop(heap)
+                time, since, _, event = pop(heap)
                 assert time >= self.now, "event popped out of order"
                 self.now = time
                 self.since = since
-                self.seq = seq
                 self.processed += 1
                 if out is not None:
                     trace += TRACE_LINES[type(event)](time, event)

@@ -4,8 +4,8 @@ Five frame types travel over the air. Each frame class declares its wire
 layout once, as a big-endian `struct` format whose first field is the 16-bit
 type code and whose remaining fields are the class's fields in order; the
 frame sizes, the field range checks and the codec all derive from it. Node
-ids are unsigned 16-bit ("H"); 0xFFFF is reserved as the broadcast id and is
-never assigned to a node. RSSI is a signed 16-bit whole-dBm reading ("h").
+ids are unsigned 16-bit ("H"); 0xFFFF is the broadcast id and is never
+assigned to a node. RSSI is a signed 16-bit whole-dBm reading ("h").
 The hop counter is the single 32-bit field ("I").
 
 `decode_frame` raises FrameDecodeError subclasses for unknown type codes,

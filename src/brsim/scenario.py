@@ -380,6 +380,10 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         if not sep or not key:
             raise ValidationError(f"override {text!r}: expected key.path=value")
         path = key.split(".")
+        if "" in path:
+            raise ValidationError(
+                f"override {text!r}: key segment {path.index('') + 1} of {key!r} is empty"
+            )
         # the two horizon spellings are alternatives; an override replaces both
         if path == ["horizon_ms"]:
             raw.pop("horizon_s", None)

@@ -193,7 +193,7 @@ class Simulation:
     def run(self) -> RunMetrics:
         """Run to the horizon; when untraced, skip events that change nothing.
 
-        An untraced run leaves out four kinds of event that cannot change
+        An untraced run leaves out three kinds of event that cannot change
         generated, outcomes, hops or routing_log. A traced run keeps every
         event, because its trace records them.
 
@@ -211,11 +211,6 @@ class Simulation:
           or a packet wakes it, so every draw and every other event keep
           their order. A woken epoch takes the place in the event order
           that the eager one would have held (see the engine module).
-        - Lone csma-idle timers (aodv): when a frame goes on the air with
-          nothing queued behind it, its timer would only pop the CSMA queue
-          head. The station reserves the timer's place in the event order
-          instead (Engine.reserve). Its next send pops the head if that place
-          has passed, or else pushes the timer into it (AodvNode.send).
 
         Outcomes are written as they happen, so nothing is left to assign
         once the event loop returns.
@@ -228,9 +223,6 @@ class Simulation:
         if self._stop_when_idle and self.protocol == "br":
             allow_parking(self.nodes.values())
             self.engine.grid_ms = self.br_params.epoch_ms
-        elif self._stop_when_idle:
-            for node in self.nodes.values():
-                node.lazy_idle = True
         self._stop_if_idle()
         self.engine.run_until(self.scenario.horizon_ms, self._handle)
         for node in self.nodes.values():

@@ -158,6 +158,9 @@ def test_run_bad_override_exits_2(tmp_path, capsys):
         ("channel.path_loss_exponent=-400", "channel: path_loss_exponent must be non-negative"),
         ("name=a/b", "name: 'a/b' cannot be part of a file name"),
         ('name="a\\0b"', "name: 'a\\x00b' cannot be part of a file name"),
+        (".x=1", "override '.x=1': key segment 1 of '.x' is empty"),
+        ("br..slot_ms=5", "override 'br..slot_ms=5': key segment 2 of 'br..slot_ms' is empty"),
+        ("br.slot_ms.=5", "override 'br.slot_ms.=5': key segment 3 of 'br.slot_ms.' is empty"),
     ],
 )
 def test_run_rejects_the_document_before_running(tmp_path, capsys, override, message):

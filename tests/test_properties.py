@@ -136,9 +136,8 @@ def test_run_invariants(sim):
 @given(runs())
 def test_each_wait_keeps_its_one_timer(sim):
     """After every event: while a baseline station's CSMA queue has a head,
-    it holds exactly one of a `cca` timer, a `csma-idle` timer or a reserved
-    idle key, and none of them otherwise; and every pending `select` or
-    `backoff` timer is the one its node waits on."""
+    it holds exactly one `cca` or `csma-idle` timer, and none otherwise; and
+    every pending `select` or `backoff` timer is the one its node waits on."""
     handle = sim._handle
 
     def checked(ev):
@@ -147,8 +146,7 @@ def test_each_wait_keeps_its_one_timer(sim):
         if sim.protocol == "aodv":
             csma = Counter(t.node for t in timers if t.tag in ("cca", "csma-idle"))
             for node in sim.nodes.values():
-                held = csma[node.id] + (node._idle_key is not None)
-                assert held == (1 if node._csma_queue else 0)
+                assert csma[node.id] == (1 if node._csma_queue else 0)
         for t in timers:
             if t.tag in ("select", "backoff"):
                 assert t is sim.nodes[t.node]._timer
@@ -219,16 +217,16 @@ def _processed(sim):
 
 
 def _kept(lines):
-    """The events both runs must share: no csma-idle timer, no beacon arrival."""
-    return [ln for ln in lines if "\tcsma-idle:" not in ln and "\tDST_BCAST<-" not in ln]
+    """The events both runs must share: all but beacon arrivals."""
+    return [ln for ln in lines if "\tDST_BCAST<-" not in ln]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(tied_scenarios(), st.integers(0, 2**32 - 1))
 def test_untraced_aodv_runs_keep_the_event_order(scenario, seed):
-    """A reserved csma-idle timer changes no other event's place: apart from
-    csma-idle timers and beacon arrivals, the untraced run processes the
-    traced run's events in the same order, up to its quiescence stop."""
+    """Apart from beacon arrivals, the untraced run processes the traced
+    run's events, csma-idle timers included, in the same order, up to its
+    quiescence stop."""
     quick = _kept(_processed(Simulation(scenario, "aodv", seed)))
     full = _kept(_processed(Simulation(scenario, "aodv", seed, trace=io.StringIO())))
     assert quick == full[: len(quick)]
