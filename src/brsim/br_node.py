@@ -13,8 +13,6 @@ stations it already passed through are excluded from the candidate set.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .engine import MAX_BOUND, DecisionEpoch
@@ -77,7 +75,6 @@ class BrNode(RadioNode):
         # degenerate probabilities behave exactly from t = 0 onward. The
         # first epoch's offset is drawn next.
         self.listening = False
-        self.may_park = False  # see allow_parking
         self._parked_at: int | None = None  # the last epoch's tick while parked
         self._epoch = DecisionEpoch(node_id)  # one event, scheduled for every epoch
         if not self.is_destination:
@@ -97,20 +94,21 @@ class BrNode(RadioNode):
         a same-tick tie with it. The destination takes no epochs: none is
         ever scheduled for it.
 
-        A station that may park and holds no packet after its coin parks
-        instead: it schedules no next epoch, since until it is woken its
-        epochs would only redraw a coin that nothing reads. It keeps its
-        grid and catches up on the coins it missed when it is read (on_rts)
-        or woken (wake).
+        When the engine has a grid_ms (an untraced run), a station that
+        holds no packet after its coin parks instead: it schedules no next
+        epoch, since until it is woken its epochs would only redraw a coin
+        that nothing reads. It keeps its grid and catches up on the coins it
+        missed when it is read (on_rts) or woken (wake). Stations that share
+        an offset share a grid; the engine wakes them together.
         """
         engine = self.sim.engine
         self.listening = engine.bernoulli(self.id, self.params.relay_probability)
         if self.queue:
             if not self.listening and not self.in_hop:
                 self._start_handshake()
-        elif self.may_park:
+        elif engine.grid_ms:
             self._parked_at = engine.now
-            engine.parked[self.offset] = self
+            engine.parked.setdefault(self.offset, []).append(self)
             return
         engine.schedule(engine.now + self.params.epoch_ms, self._epoch)
 
@@ -138,12 +136,10 @@ class BrNode(RadioNode):
             self._parked_at = last
 
     def wake(self) -> None:
-        """Catch up, then schedule the next grid epoch where it would have run."""
+        """Catch up, then schedule the next grid epoch where it would have run (Engine.wake)."""
         self._catch_up()
-        engine = self.sim.engine
-        del engine.parked[self.offset]
         last, self._parked_at = self._parked_at, None
-        engine.schedule(last + self.params.epoch_ms, self._epoch, since=last)
+        self.sim.engine.schedule(last + self.params.epoch_ms, self._epoch, since=last)
 
     def on_rts(self, tx: int) -> None:
         if self._parked_at is not None:
@@ -152,7 +148,7 @@ class BrNode(RadioNode):
 
     def enqueue(self, meta: PacketMeta) -> None:
         if self._parked_at is not None:
-            self.wake()
+            self.sim.engine.wake(self.offset)
         super().enqueue(meta)
 
     # ---- channel access -------------------------------------------------------
@@ -188,14 +184,3 @@ class BrNode(RadioNode):
             return self.destination
         return best.responder
 
-
-def allow_parking(nodes: Iterable[BrNode]) -> None:
-    """Let every station whose epoch offset no other station shares park.
-
-    Epochs that share a tick run in node-id order, which a woken epoch,
-    pushed after the fact, could not keep.
-    """
-    stations = [n for n in nodes if not n.is_destination]
-    shared = Counter(n.offset for n in stations)
-    for n in stations:
-        n.may_park = shared[n.offset] == 1

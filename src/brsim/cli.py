@@ -172,8 +172,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     raw = apply_overrides(raw, args.set)
     build_scenario(raw, default_name)  # validate before reading its sections
     if args.nodes is not None:
-        if "generator" not in raw["topology"]:
-            raise UsageError("--nodes sweeps need a generator topology")
+        kind = raw["topology"].get("generator")
+        if kind != "tandem":  # the one generator that takes topology.count
+            got = f"the {kind} generator" if kind else "node positions"
+            raise UsageError(f"--nodes sweeps need a tandem generator topology, not {got}")
         values = [("n", n) for n in _parse_node_range(args.nodes)]
         variable = "topology.count"
     else:

@@ -6,16 +6,18 @@ and seq the global schedule order, so same-tick events process in the order
 they were scheduled (seq grows with since). Scheduling into the past raises
 PastEventError.
 
-The since key lets a parked epoch clock rejoin the order. A station whose
-decision epochs only redraw an idle coin may stop scheduling them (see
-`BrNode.on_epoch`). When it wakes, it pushes its next epoch at tick t with
-since = t - grid_ms, the tick at which an eager clock would have scheduled
-it. Among the events scheduled during that tick for tick t, an eager epoch
-would sit by seq, so an event scheduled exactly grid_ms ahead onto a parked
-clock's grid first wakes that clock (`schedule`). The clock's next epoch is
-then in the heap before the event, as an eager one would be: the epoch at t
-itself if this tick's epoch has run, else this tick's epoch, which goes on
-to schedule the one at t after the event.
+The since key lets a parked epoch clock rejoin the order. When grid_ms is
+set, a station whose decision epochs only redraw an idle coin stops
+scheduling them (`BrNode.on_epoch`). Woken, it pushes its next epoch at
+tick t with since = t - grid_ms, the tick at which an eager clock would have
+scheduled it. Among the events scheduled then for t, an eager epoch would
+sit by seq, so an event scheduled exactly grid_ms ahead onto a parked
+clock's grid first wakes the clock (`schedule`), whose next epoch precedes
+the event: the one at t if this tick's epoch has run, else this tick's,
+which goes on to schedule the one at t after the event. Clocks on one grid
+run same-tick epochs in id order. They park one by one but wake together,
+in id order (`wake`), and a running clock's next epoch wakes its grid
+first, so woken epochs file after the running clocks' epochs.
 
 Randomness comes from per-node xorshift64* streams so one node's draws never
 perturb another's. The generator is fully specified by its update equations
@@ -212,10 +214,10 @@ class Engine:
         self._heap: list[tuple[int, int, int, Event]] = []
         self._seq = 0
         self._streams = _Streams(run_seed)
-        # parked epoch clocks, each with a wake() method, by their grid's
-        # residue modulo the one period they all share
+        # the parking grid's period (0: nothing parks) and the parked epoch
+        # clocks, each with an id and wake(), listed by residue modulo it
         self.grid_ms = 0
-        self.parked: dict = {}
+        self.parked: dict[int, list] = {}
 
     def schedule(self, time: int, event: Event, since: int | None = None) -> None:
         """Push an event; `since` defaults to now (see the module docstring).
@@ -225,13 +227,16 @@ class Engine:
         now = self.now
         if time < now:
             raise PastEventError(f"cannot schedule at {time}, current time is {now}")
-        if time - now == self.grid_ms and self.parked:
-            clock = self.parked.get(time % self.grid_ms)
-            if clock is not None:
-                clock.wake()
+        if time - now == self.grid_ms and self.parked and time % self.grid_ms in self.parked:
+            self.wake(time % self.grid_ms)
         seq = self._seq
         self._seq += 1
         heapq.heappush(self._heap, (time, now if since is None else since, seq, event))
+
+    def wake(self, residue: int) -> None:
+        """Wake every clock parked on the grid of this residue, in id order."""
+        for clock in sorted(self.parked.pop(residue), key=lambda c: c.id):
+            clock.wake()
 
     def pending(self) -> int:
         return len(self._heap)

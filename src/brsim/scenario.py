@@ -362,11 +362,18 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """The problem alone, without PyYAML's marks and snippets; one line."""
+    return getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+
+
 def parse_document(text: str, origin: str = "<string>") -> dict:
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
-        raise ParseError(f"{origin}: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        raise ParseError(f"{origin}: {where}{_yaml_problem(exc)}") from exc
     if raw is None:
         raise ParseError(f"{origin}: empty document")
     return _require_mapping(raw, "scenario")
@@ -399,11 +406,8 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             cursor = nxt
         try:
             cursor[path[-1]] = yaml.load(value, Loader=_UniqueKeyLoader) if value != "" else None
-        except yaml.YAMLError as exc:
-            # the problem alone: the rest of a parse error, and the second line
-            # of a reader error, are marks within the value
-            problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
-            raise ValidationError(f"override {text!r}: bad value: {problem}") from exc
+        except yaml.YAMLError as exc:  # its marks would point within the value
+            raise ValidationError(f"override {text!r}: bad value: {_yaml_problem(exc)}") from exc
     return raw
 
 

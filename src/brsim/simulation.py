@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from typing import TextIO
 
 from .baseline import AodvNode
-from .br_node import BrNode, allow_parking
+from .br_node import BrNode
 from .channel import LinkCache
 from .engine import (
     BeaconTick,
@@ -204,13 +204,15 @@ class Simulation:
           already holds a destination reading would store the same value
           again. The beacon still occupies the channel, so collisions and
           carrier sense are unchanged.
-        - Idle decision epochs (br): a station with an empty queue parks its
-          epoch clock (BrNode.on_epoch). Such an epoch only redraws the
-          listen coin, which only an RTS reads. The station draws the coins
-          it missed, in order, on its own stream before an RTS reads them
-          or a packet wakes it, so every draw and every other event keep
-          their order. A woken epoch takes the place in the event order
-          that the eager one would have held (see the engine module).
+        - Idle decision epochs (br): setting engine.grid_ms lets every
+          station with an empty queue park its epoch clock
+          (BrNode.on_epoch). Such an epoch only redraws the listen coin,
+          which only an RTS reads. The station draws the coins it missed,
+          in order, on its own stream before an RTS reads them or a packet
+          wakes it, so every draw and every other event keep their order.
+          Stations that share an epoch offset wake together, in id order,
+          and a woken epoch takes the place in the event order that the
+          eager one would have held (see the engine module).
 
         Outcomes are written as they happen, so nothing is left to assign
         once the event loop returns.
@@ -221,7 +223,6 @@ class Simulation:
         """
         self._stop_when_idle = self.engine.trace is None
         if self._stop_when_idle and self.protocol == "br":
-            allow_parking(self.nodes.values())
             self.engine.grid_ms = self.br_params.epoch_ms
         self._stop_if_idle()
         self.engine.run_until(self.scenario.horizon_ms, self._handle)

@@ -175,6 +175,7 @@ def test_run_rejects_the_document_before_running(tmp_path, capsys, override, mes
     [
         ("br={epoch_ms: 1, epoch_ms: 2}", "duplicate key 'epoch_ms' on line 1 (first on line 1)"),
         ("br.relay_probability=[0.5", "expected ',' or ']', but got '<stream end>'"),
+        ("br={[1]: 2}", "found unhashable key"),
     ],
 )
 def test_a_bad_override_value_exits_2_with_its_yaml_problem(tmp_path, capsys, override, problem):
@@ -242,6 +243,25 @@ def test_run_scenario_file_with_a_duplicated_key_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["twice.yaml"]
 
 
+@pytest.mark.parametrize(
+    "document, problem",
+    [
+        ("horizon_s: 120\nbr: [1\n", "line 3, column 1: expected ',' or ']', but got '<stream end>'"),
+        ("horizon_s: [1, 2\ntraffic: {}\n", "line 2, column 8: expected ',' or ']', but got ':'"),
+        ("? [1, 2]\n: 3\n", "line 1, column 3: found unhashable key"),
+    ],
+)
+def test_a_bad_scenario_file_exits_2_with_one_line_naming_the_file(
+    tmp_path, capsys, document, problem
+):
+    doc = tmp_path / "bad.yaml"
+    doc.write_text(document)
+    code = run_cli("run", "--scenario", str(doc), "--out", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {doc}: {problem}\n"
+    assert os.listdir(tmp_path) == ["bad.yaml"]
+
+
 # ---- sweep subcommand --------------------------------------------------------------
 
 
@@ -277,6 +297,18 @@ def test_node_sweep_requires_generator_topology(tmp_path, capsys):
     )
     assert code == 2
     assert "generator" in capsys.readouterr().err
+
+
+def test_node_sweep_on_a_grid_topology_is_a_usage_error(tmp_path, capsys):
+    code = run_cli(
+        "sweep", "--scenario", "tandem12", "--nodes", "5..6", "--seeds", "1",
+        "--set", "topology={generator: grid, rows: 2, cols: 3}", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --nodes sweeps need a tandem generator topology, not the grid generator\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])

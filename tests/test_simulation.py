@@ -15,7 +15,15 @@ from test_acceptance import SWEEP_OVERRIDES
 from brsim import simulation
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams, LinkCache
-from brsim.engine import TRACE_LINES, BeaconTick, Event, FrameArrival
+from brsim.engine import (
+    TRACE_LINES,
+    BeaconTick,
+    DecisionEpoch,
+    Engine,
+    Event,
+    FrameArrival,
+    TimerFire,
+)
 from brsim.frame import DstBcast, MessageType, Routing, SrcBcast
 from brsim.scenario import build_scenario, load_scenario
 from brsim.simulation import _DISPATCH, Simulation, run_many, run_scenario
@@ -628,20 +636,21 @@ def test_untraced_runs_send_beacons_only_to_stations_without_a_reading():
 # ---- parked epoch clocks ----------------------------------------------------------
 
 
-def _forced_ties(epoch_ms, count=8, **br):
+def _forced_ties(epoch_ms, count=8, gap=7, span=400, **br):
     """Every station a source on a short chain, with br waits on the epoch grid.
 
     Short epochs and dense traffic make a parked station's grid tick meet
     other events often, and waits of whole epochs schedule events exactly
-    one epoch ahead, onto the grids of parked stations.
+    one epoch ahead, onto the grids of parked stations. Packets come every
+    `gap` epochs, and the run lasts `span` epochs.
     """
     overrides = [
         f"topology.count={count}",
         "traffic.sources=all",
         "traffic.start_ms=0",
         "traffic.packets_per_source=4",
-        f"traffic.inter_arrival_ms={7 * epoch_ms}",
-        f"horizon_ms={400 * epoch_ms}",
+        f"traffic.inter_arrival_ms={gap * epoch_ms}",
+        f"horizon_ms={span * epoch_ms}",
         f"br.epoch_ms={epoch_ms}",
         *(f"br.{field}={value}" for field, value in br.items()),
     ]
@@ -653,6 +662,10 @@ PARKING_TIES = {
     "response_wait=epoch": lambda: _forced_ties(5, response_wait_ms=5, ack_wait_ms=10, slot_ms=1),
     "2 slots=epoch": lambda: _forced_ties(40, slot_ms=20, response_wait_ms=40, ack_wait_ms=80),
     "epoch 3": lambda: _forced_ties(3, ack_wait_ms=3, response_wait_ms=4, slot_ms=1),
+    # eleven stations on 13 offsets: every seed here puts two or three on one grid
+    "shared offsets": lambda: _forced_ties(
+        13, count=12, gap=3, span=300, response_wait_ms=26, ack_wait_ms=13, slot_ms=1
+    ),
 }
 
 
@@ -672,11 +685,52 @@ def test_parked_epochs_keep_the_order_of_same_tick_epochs():
     _same_behaviour(quick, full)
 
 
+def test_stations_that_share_an_epoch_offset_park_and_wake_together():
+    # 1 ms epochs put every station on one grid, residue 0
+    scenario = load_scenario(
+        "tandem12",
+        overrides=[
+            "topology.count=5",
+            "br.epoch_ms=1",
+            "traffic.sources=[0]",
+            "traffic.packets_per_source=1",
+            "traffic.start_ms=1000",
+            "horizon_ms=5000",
+        ],
+    )
+    sim = Simulation(scenario, "br", 0)
+    handle, seen = sim._handle, []
+
+    def recording(ev):
+        if ev == TimerFire(0, "traffic", 0):
+            # idle since their first epochs, all four sit parked on the grid
+            seen.append([n.id for n in sim.engine.parked[0]])
+            handle(ev)
+            # the packet wakes the whole grid: their epochs at this tick run in id order
+            seen.append(dict(sim.engine.parked))
+            pending = sim.engine.pending_events()
+            seen.append([e.node for _, e in pending if isinstance(e, DecisionEpoch)])
+        else:
+            handle(ev)
+
+    sim._handle = recording
+    sim.run()
+    assert seen == [[0, 1, 2, 3], {}, [0, 1, 2, 3]]
+    quick, full = _untraced_and_traced(scenario, "br")
+    _same_behaviour(quick, full)
+
+
+class _EagerEngine(Engine):
+    """An engine on which no epoch clock parks: its grid_ms stays 0."""
+
+    grid_ms = property(lambda self: 0, lambda self, value: None)
+
+
 def _events(scenario, seed, park):
     """Every event an untraced br run processes, as its trace lines."""
     with pytest.MonkeyPatch.context() as patch:
         if not park:
-            patch.setattr(simulation, "allow_parking", lambda nodes: None)
+            patch.setattr(simulation, "Engine", _EagerEngine)
         sim = Simulation(scenario, "br", seed)
         handle = sim._handle
         seen = []
