@@ -22,6 +22,9 @@ from .engine import TimerFire
 from .frame import Frame, MessageType
 from .protocol import PacketMeta, RadioNode, ResponseRecord
 
+# a failed hop attempt is an abandoned RTS or data frame, never a Response
+_HOP_FRAMES = (MessageType.SRC_BCAST, MessageType.ROUTING)
+
 
 @dataclass(frozen=True)
 class CsmaParams:
@@ -113,7 +116,7 @@ class AodvNode(RadioNode):
         waiting = bool(self._csma_queue)
         # a failed hop attempt may start a new RTS, which queues behind the
         # frames already waiting; an abandoned response is simply never sent
-        if frame.type is MessageType.SRC_BCAST or frame.type is MessageType.ROUTING:
+        if frame.type in _HOP_FRAMES:
             self.beb_backoff()
         if waiting:
             self._csma_start()

@@ -217,24 +217,33 @@ class LinkCache:
         """Beacon reach on a quiet channel: SIR against the noise floor alone."""
         return tx != rx and self._mw[tx][rx] / self._noise_mw >= self._sir_lin
 
-    def _sir_ok(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
+    def _sir_ok(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
+        """SIR at target or better against noise plus every concurrent sender.
+
+        `concurrent` is the other senders in ascending id. Their powers are
+        summed in the order given, so the caller's sort fixes the float sum.
+        """
         interference = self._noise_mw
-        if concurrent:  # most frames have their tick to themselves
-            for other in sorted(concurrent):
-                interference += self._mw[other][rx]
+        for other in concurrent:
+            interference += self._mw[other][rx]
         return self._mw[tx][rx] / interference >= self._sir_lin
 
-    def delivery(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
+    def delivery(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
         """Data-frame verdict: in hearing range and SIR at target or better.
 
-        `concurrent` holds every other node transmitting in the same tick.
+        `concurrent` holds every other node transmitting in the same tick,
+        in ascending id.
         """
         if tx == rx or self._rssi[tx][rx] < self.sensitivity:  # can_hear, inline
             return False
         return self._sir_ok(tx, rx, concurrent)
 
-    def beacon(self, tx: int, rx: int, concurrent: set[int] | frozenset[int]) -> bool:
-        """Beacon verdict: SIR alone, no hearing-range gate."""
+    def beacon(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
+        """Beacon verdict: SIR alone, no hearing-range gate.
+
+        `concurrent` holds every other node transmitting in the same tick,
+        in ascending id.
+        """
         if tx == rx:
             return False
         return self._sir_ok(tx, rx, concurrent)

@@ -55,8 +55,13 @@ class TrailingBytesError(FrameDecodeError):
 class _Wire:
     """Base of the frame classes: derives the codec and checks from `layout`.
 
-    Each subclass is a frozen dataclass that sets `type` and `layout`.
+    Each subclass is a frozen, slotted dataclass that sets `type` and
+    `layout`. A frame is a shared value: a node builds each frame it sends
+    once and puts the same object on the air again (see RadioNode), so no
+    frame may change after it is built.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -67,13 +72,13 @@ class _Wire:
         )
 
     def __post_init__(self) -> None:
-        values = self.__dict__
         for name, kind, lo, hi in self._ranges:
-            if not lo <= values[name] <= hi:
-                raise ValueError(f"{name} out of range for {kind}: {values[name]}")
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} out of range for {kind}: {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SrcBcast(_Wire):
     """RTS: a holder announces it wants to hand a packet off."""
 
@@ -83,7 +88,7 @@ class SrcBcast(_Wire):
     layout = ">HH"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DstBcast(_Wire):
     """Location beacon emitted periodically by the destination."""
 
@@ -93,7 +98,7 @@ class DstBcast(_Wire):
     layout = ">HH"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Response(_Wire):
     """Reply to an RTS carrying the responder's stored destination RSSI."""
 
@@ -105,7 +110,7 @@ class Response(_Wire):
     layout = ">HHHh"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Routing(_Wire):
     """Data frame. hop_count is the number of completed handovers so far."""
 
@@ -119,7 +124,7 @@ class Routing(_Wire):
     layout = ">HHHHHI"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ack(_Wire):
     """Acknowledgement of a received Routing frame."""
 

@@ -17,6 +17,10 @@ only its policy:
 When a handshake starts is policy too: BR starts one at a transmit epoch
 (`on_epoch`), the baseline as soon as it is idle with data (`_on_free`).
 
+Frames are immutable values, so a node builds each one it repeats once: its
+RTS and its Ack at construction, and one Response per RTS owner, built again
+only when the node's destination reading has changed since.
+
 A node owns exactly one handshake at a time, for the head of its FIFO queue.
 A running hop waits on one timer, the one `_arm` set last: the response
 window (`select`), the ack wait (`ack`) or the retry backoff (`backoff`). Any
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import TimerFire
 from .frame import Ack, Frame, MessageType, Response, Routing, SrcBcast
@@ -36,6 +40,12 @@ from .metrics import RoutingRecord
 
 if TYPE_CHECKING:
     from .simulation import Simulation
+
+# the members as module constants: a global is cheaper to read than an enum attribute
+_SRC_BCAST = MessageType.SRC_BCAST
+_DST_BCAST = MessageType.DST_BCAST
+_RESPONSE = MessageType.RESPONSE
+_ROUTING = MessageType.ROUTING
 
 
 @dataclass
@@ -54,8 +64,7 @@ class PacketMeta:
     attempts: int = 0
 
 
-@dataclass(frozen=True)
-class ResponseRecord:
+class ResponseRecord(NamedTuple):
     responder: int
     dst_rssi: int
     link_rssi: int
@@ -85,6 +94,9 @@ class RadioNode:
         self.current_target: int | None = None
         self._timer: TimerFire | None = None  # the one timer the running hop waits on
         self._seen: set[int] = set()  # uids ever held here, for duplicate rejection
+        self._rts = SrcBcast(node_id)
+        self._ack = Ack(node_id)
+        self._response_to: dict[int, Response] = {}  # the last Response sent to each RTS owner
 
     # ---- timer plumbing -------------------------------------------------
 
@@ -95,14 +107,14 @@ class RadioNode:
     # ---- frame entry point ----------------------------------------------
 
     def on_frame(self, frame: Frame, tx: int, uid: int | None, measured: int) -> None:
-        t = frame.type
-        if t is MessageType.DST_BCAST:
-            self.on_dst_beacon(measured)
-        elif t is MessageType.SRC_BCAST:
-            self.on_rts(tx)
-        elif t is MessageType.RESPONSE:
+        t = frame.type  # the most frequent types first
+        if t is _RESPONSE:
             self._collect_response(frame, measured)
-        elif t is MessageType.ROUTING:
+        elif t is _SRC_BCAST:
+            self.on_rts(tx)
+        elif t is _DST_BCAST:
+            self.on_dst_beacon(measured)
+        elif t is _ROUTING:
             self.on_routing(frame, tx, uid)
         else:
             self._on_ack(frame)
@@ -133,7 +145,7 @@ class RadioNode:
         twice would fork phantom copies.
         """
         assert uid is not None, "routing frames always carry a uid"
-        self._on_air(Ack(self.id), tx, None, self.sim.engine.now)
+        self._on_air(self._ack, tx, None, self.sim.engine.now)
         self.prior_forwarders[uid].add(tx)
         if frame.dest_node_id == self.id:
             self.sim.deliver(uid, frame.hop_count + 1)
@@ -178,7 +190,7 @@ class RadioNode:
         self.responses = []
         self.in_hop = True
         self.current_target = None
-        self.send(SrcBcast(self.id), uid=self.queue[0].uid)
+        self.send(self._rts, uid=self.queue[0].uid)
 
     def _on_select_timer(self) -> None:
         """The response window closed: send the packet to the chosen receiver."""
@@ -197,9 +209,9 @@ class RadioNode:
         """
         self.sim.transmit_at(at, self.id, frame, target, uid)
         t = frame.type
-        if t is MessageType.SRC_BCAST:
+        if t is _SRC_BCAST:
             self._arm("select", at + self.params.response_wait_ms, ref=uid)
-        elif t is MessageType.ROUTING:
+        elif t is _ROUTING:
             self._arm("ack", at + self.params.ack_wait_ms, ref=uid)
             self.sim.metrics.routing_log.append(
                 RoutingRecord(at, self.id, target, uid, frame.hop_count)
@@ -215,8 +227,12 @@ class RadioNode:
         )
 
     def _emit_response(self, owner: int) -> None:
-        assert self.dst_rssi is not None
-        self.send(Response(owner, self.id, self.dst_rssi), owner)
+        dst_rssi = self.dst_rssi
+        assert dst_rssi is not None
+        frame = self._response_to.get(owner)
+        if frame is None or frame.dst_rssi != dst_rssi:
+            frame = self._response_to[owner] = Response(owner, self.id, dst_rssi)
+        self.send(frame, owner)
 
     # ---- retransmission -------------------------------------------------
 

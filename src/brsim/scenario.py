@@ -367,12 +367,27 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
     return getattr(exc, "problem", None) or str(exc).partition("\n")[0]
 
 
+def _line_and_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset into `text`.
+
+    Only characters YAML accepts precede a ReaderError's offset, and among
+    those str.splitlines breaks lines exactly where YAML does.
+    """
+    lines = (text[:offset] + "x").splitlines()
+    return len(lines), len(lines[-1])
+
+
 def parse_document(text: str, origin: str = "<string>") -> dict:
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        if mark is not None:
+            where = f"line {mark.line + 1}, column {mark.column + 1}: "
+        elif isinstance(exc, yaml.reader.ReaderError):  # a character offset, no mark
+            where = "line {}, column {}: ".format(*_line_and_column(text, exc.position))
+        else:
+            where = ""
         raise ParseError(f"{origin}: {where}{_yaml_problem(exc)}") from exc
     if raw is None:
         raise ParseError(f"{origin}: empty document")

@@ -11,7 +11,9 @@ at each against one concurrent set: the stations that could hear it on a
 quiet channel (interference can only remove receptions, never add them), in
 ascending id from the link table's hearer lists, or its addressee if that one
 can hear it. An untraced run also leaves out beacon receivers that already
-hold a destination reading; see Simulation.run.
+hold a destination reading; see Simulation.run. The other senders of the
+frame's tick are sorted into ascending id once per arrival, not once per
+receiver, and every verdict sums their interference in that order.
 
 The nodes keep their own timing (a BrNode schedules its decision epochs)
 and log the data frames they put on the air (RadioNode._on_air); the
@@ -44,6 +46,8 @@ from .protocol import PacketMeta, RadioNode
 
 _NODE_CLASSES = {"br": BrNode, "aodv": AodvNode}
 
+_DST_BCAST = MessageType.DST_BCAST  # a global is cheaper to read than an enum attribute
+
 # The link table run last, kept with the (topology, channel) pair it is built
 # from. Runs whose pair is equal by value share it (pooled copies, --p sheets,
 # seeds); no run changes it. One slot holds one table, not one per size.
@@ -74,6 +78,7 @@ class Simulation:
         self.metrics = RunMetrics(protocol, len(self.topology.nodes), seed)
         # first at tick 0: the nodes built next schedule their own events after it
         self.engine.schedule(0, BeaconTick(self.topology.destination))
+        self._beacon_frame = DstBcast(self.topology.destination)
         cls = _NODE_CLASSES[protocol]
         self.nodes: dict[int, RadioNode] = {
             nid: cls(nid, self) for nid in sorted(self.topology.nodes)
@@ -109,16 +114,18 @@ class Simulation:
         uid: int | None = None,
     ) -> None:
         """Book `tx`'s air time at tick `at` and schedule the frame's arrival."""
-        reg = self._tx.get(at)
+        booked = self._tx
+        reg = booked.get(at)
         if reg is None:
             # CCA reads tick now and adjudication reads now - 1: drop older ticks
-            now = self.engine.now
-            self._tx = {t: r for t, r in self._tx.items() if t >= now - 1}
-            reg = self._tx[at] = set()
+            oldest = self.engine.now - 1
+            for t in [t for t in booked if t < oldest]:
+                del booked[t]
+            reg = booked[at] = set()
         reg.add(tx)
         if only_to is not None:
             rxs = (only_to,) if self.link.can_hear(tx, only_to) else ()
-        elif frame.type is not MessageType.DST_BCAST:
+        elif frame.type is not _DST_BCAST:
             rxs = self.link.hearers[tx]
         elif self._stop_when_idle:
             # the channel is static, so a station that holds a reading would
@@ -251,8 +258,9 @@ def _on_arrival(sim: Simulation, ev: FrameArrival) -> None:
     """
     frame, tx, link = ev.frame, ev.tx, sim.link
     sent = sim._tx[sim.engine.now - 1]  # the frame's tick, never pruned yet
-    concurrent = sent - {tx}
-    verdict = link.beacon if frame.type is MessageType.DST_BCAST else link.delivery
+    # the other senders in ascending id, the order every verdict sums them in
+    concurrent = tuple(sorted(sent - {tx})) if len(sent) > 1 else ()
+    verdict = link.beacon if frame.type is _DST_BCAST else link.delivery
     for rx in ev.rxs:
         if rx not in sent and verdict(tx, rx, concurrent):
             sim.nodes[rx].on_frame(frame, tx, ev.uid, link.rssi_of(tx, rx))
@@ -270,7 +278,7 @@ def _on_epoch(sim: Simulation, ev: DecisionEpoch) -> None:
 
 
 def _on_beacon(sim: Simulation, ev: BeaconTick) -> None:
-    sim.transmit(ev.node, DstBcast(ev.node))
+    sim.transmit(ev.node, sim._beacon_frame)
     sim.engine.schedule(sim.engine.now + sim.br_params.bcast_ms, ev)  # the same event again
 
 

@@ -186,7 +186,7 @@ def test_beacon_sir_boundary_tie_passes():
     d = 10.0 ** 1.5
     link = LinkCache(topo([(0.0, 0.0), (d, 0.0)]), DEFAULTS)
     assert link.rssi_of(0, 1) == -85
-    assert link.beacon(0, 1, frozenset())
+    assert link.beacon(0, 1, ())
     assert link.beacon_audible(0, 1)
 
 
@@ -194,7 +194,7 @@ def test_beacon_fails_one_dbm_past_the_target():
     d = 10.0 ** (46.0 / 30.0)  # rounds to -86 dBm
     link = LinkCache(topo([(0.0, 0.0), (d, 0.0)]), DEFAULTS)
     assert link.rssi_of(0, 1) == -86
-    assert not link.beacon(0, 1, frozenset())
+    assert not link.beacon(0, 1, ())
     assert not link.beacon_audible(0, 1)
 
 
@@ -202,28 +202,28 @@ def test_beacon_reaches_past_data_range():
     d = 10.0 ** 1.5  # 31.62 m: outside the 30 m data range, SIR still passes
     link = LinkCache(topo([(0.0, 0.0), (d, 0.0)]), DEFAULTS)
     assert not link.can_hear(0, 1)
-    assert link.beacon(0, 1, frozenset())
-    assert not link.delivery(0, 1, frozenset())
+    assert link.beacon(0, 1, ())
+    assert not link.delivery(0, 1, ())
     assert link.hearers[0] == ()
     assert link.beacon_hearers[0] == (1,)
 
 
 def test_delivery_survives_weak_interferer():
     link = LinkCache(topo([(0.0, 0.0), (5.0, 0.0), (100.0, 0.0)]), DEFAULTS)
-    assert link.delivery(0, 1, frozenset({2}))
+    assert link.delivery(0, 1, (2,))
 
 
 def test_delivery_killed_by_close_interferer():
     link = LinkCache(topo([(0.0, 0.0), (5.0, 0.0), (6.0, 0.0)]), DEFAULTS)
-    assert link.delivery(0, 1, frozenset())
-    assert not link.delivery(0, 1, frozenset({2}))
+    assert link.delivery(0, 1, ())
+    assert not link.delivery(0, 1, (2,))
 
 
 def test_symmetric_collision_kills_both_directions():
     # two transmitters equidistant from a middle receiver: SIR ~ 0 dB each way
     link = LinkCache(topo([(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)]), DEFAULTS)
-    assert not link.delivery(0, 1, frozenset({2}))
-    assert not link.delivery(2, 1, frozenset({0}))
+    assert not link.delivery(0, 1, (2,))
+    assert not link.delivery(2, 1, (0,))
 
 
 # ---- LinkCache ---------------------------------------------------------------
@@ -273,7 +273,8 @@ def test_link_cache_matches_module_functions():
         for tx in ids:
             for rx in ids:
                 others = [o for o in ids if o not in (tx, rx)]
-                concurrent = frozenset(o for o in others if rng.random() < 0.5)
+                # the other senders in ascending id, as the simulator passes them
+                concurrent = tuple(sorted(o for o in others if rng.random() < 0.5))
                 r, hear, delivery, beacon = oracle(t, params, tx, rx, concurrent)
                 assert cache.rssi_of(tx, rx) == r
                 assert cache.can_hear(tx, rx) == hear
@@ -297,6 +298,6 @@ def test_hearer_lists_are_the_audible_receivers_in_id_order():
 
 def test_link_cache_beacon_audible_is_quiet_channel_beacon():
     cache = LinkCache(topo([(0.0, 0.0), (10.0 ** 1.5, 0.0), (50.0, 0.0)]), DEFAULTS)
-    assert cache.beacon_audible(0, 1) == cache.beacon(0, 1, frozenset())
-    assert cache.beacon_audible(0, 2) == cache.beacon(0, 2, frozenset())
+    assert cache.beacon_audible(0, 1) == cache.beacon(0, 1, ())
+    assert cache.beacon_audible(0, 2) == cache.beacon(0, 2, ())
     assert not cache.beacon_audible(0, 0)

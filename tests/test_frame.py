@@ -1,5 +1,6 @@
 """Wire codec: frozen byte layouts, validation, round-trip behaviour."""
 
+import dataclasses
 import random
 
 import pytest
@@ -83,6 +84,35 @@ def test_field_range_validation():
         Routing(0, 0, 0, 0, 0x100000000)
     with pytest.raises(ValueError):
         Ack(0x12345)
+
+
+# struct code -> (lowest, highest) value of a field
+FIELD_RANGES = {"H": (0, 0xFFFF), "h": (-0x8000, 0x7FFF), "I": (0, 0xFFFFFFFF)}
+
+
+@pytest.mark.parametrize("cls", [SrcBcast, DstBcast, Response, Routing, Ack], ids=lambda c: c.__name__)
+def test_every_field_checks_its_range(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    for i, (name, code) in enumerate(zip(names, cls.layout[2:], strict=True)):
+        lo, hi = FIELD_RANGES[code]
+
+        def build(value):
+            return cls(*(value if j == i else 0 for j in range(len(names))))
+
+        assert getattr(build(lo), name) == lo and getattr(build(hi), name) == hi
+        for bad in (lo - 1, hi + 1):
+            with pytest.raises(ValueError, match=f"^{name} out of range"):
+                build(bad)
+
+
+@pytest.mark.parametrize("frame,wire", FRAMES, ids=lambda v: type(v).__name__ if not isinstance(v, bytes) else "")
+def test_frames_are_frozen_slotted_values(frame, wire):
+    # nodes share one frame object between transmissions, so none may change
+    assert not hasattr(frame, "__dict__")
+    for field in dataclasses.fields(frame):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, field.name, 1)
+    assert encode_frame(frame) == wire
 
 
 def test_unknown_type_codes():

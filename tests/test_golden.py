@@ -18,7 +18,7 @@ import pytest
 
 from test_acceptance import SWEEP_OVERRIDES, _bounce_scenario, _spiral_scenario
 
-from brsim.scenario import load_scenario
+from brsim.scenario import build_scenario, load_scenario
 from brsim.simulation import Simulation
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_behaviour.json")
@@ -33,6 +33,24 @@ STALE_TIMERS = [
     "br.ack_wait_ms=20000",
     "br.response_wait_ms=2000",
 ]
+
+# Every station a source on a 10 x 10 grid, 2 m apart, with a 6 m data range:
+# each RTS is answered by a storm of Responses from up to 28 neighbours, and
+# many senders share ticks. This is the benchmark's dense_grid workload.
+DENSE_GRID = {
+    "name": "dense_grid",
+    "protocol": "both",
+    "horizon_s": 800,
+    "topology": {
+        "generator": "grid",
+        "rows": 10,
+        "cols": 10,
+        "floor_width_m": 18.0,
+        "floor_length_m": 18.0,
+    },
+    "channel": {"tx_range_m": 6.0},
+    "traffic": {"sources": "all", "packets_per_source": 1},
+}
 
 BOTH = ("br", "aodv")
 # group -> (scenario builder, protocols, seeds)
@@ -54,6 +72,7 @@ GROUPS = {
     "stale_timers": (
         lambda: load_scenario("tandem12", overrides=STALE_TIMERS), BOTH, range(5)
     ),
+    "dense_grid": (lambda: build_scenario(DENSE_GRID), BOTH, range(3)),
 }
 
 # traced runs: key -> (scenario builder, protocol, seed)
@@ -75,6 +94,7 @@ TRACED = {
     "stale_timers/aodv/0": (
         lambda: load_scenario("tandem12", overrides=STALE_TIMERS), "aodv", 0
     ),
+    "dense_grid/aodv/0": (lambda: build_scenario(DENSE_GRID), "aodv", 0),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams
 from brsim.engine import TimerFire
-from brsim.frame import Ack, DstBcast, Response, Routing
+from brsim.frame import Ack, DstBcast, MessageType, Response, Routing, SrcBcast
 from brsim.metrics import Outcome
 from brsim.protocol import PacketMeta, ResponseRecord
 from brsim.scenario import load_scenario
@@ -166,6 +166,66 @@ def test_hop_cap_drops_packet():
     assert not relay.queue
     relay.on_routing(Routing(0, 2, 0, 1, cap - 1), tx=0, uid=1)
     assert len(relay.queue) == 1
+
+
+# ---- frames built once -------------------------------------------------------------
+
+
+def on_air(sim):
+    """Record every frame put on the air from now on, in order."""
+    frames = []
+    transmit_at = sim.transmit_at
+
+    def record(at, tx, frame, only_to=None, uid=None):
+        frames.append(frame)
+        transmit_at(at, tx, frame, only_to, uid)
+
+    sim.transmit_at = record
+    return frames
+
+
+def test_a_node_sends_one_rts_and_one_ack_object():
+    sim = br_sim()
+    frames = on_air(sim)
+    src, relay = sim.nodes[0], sim.nodes[1]
+    queue_packet(src)
+    src._start_handshake()
+    src._start_handshake()  # the retry after a backoff
+    relay.on_routing(Routing(0, 2, 0, 1, 0), tx=0, uid=77)
+    relay.on_routing(Routing(0, 2, 0, 1, 0), tx=0, uid=77)  # a retransmission
+    rts, rts_again, ack, ack_again = frames
+    assert rts == SrcBcast(0) and rts_again is rts
+    assert ack == Ack(1) and ack_again is ack
+
+
+def test_a_response_to_one_owner_is_reused_until_the_reading_changes():
+    sim = br_sim()
+    frames = on_air(sim)
+    relay = sim.nodes[1]
+    relay.on_frame(DstBcast(2), tx=2, uid=None, measured=-61)
+    relay._emit_response(0)
+    relay._emit_response(0)
+    relay._emit_response(2)  # another owner gets its own frame
+    relay.on_frame(DstBcast(2), tx=2, uid=None, measured=-61)  # the same reading again
+    relay._emit_response(0)
+    relay.on_frame(DstBcast(2), tx=2, uid=None, measured=-64)
+    relay._emit_response(0)
+    first, again, other, same_reading, new_reading = frames
+    assert first == Response(0, 1, -61)
+    assert again is first and same_reading is first
+    assert other == Response(2, 1, -61)
+    assert new_reading == Response(0, 1, -64)
+    relay._emit_response(0)
+    assert frames[-1] is new_reading
+
+
+def test_the_destination_beacon_is_one_object_per_run():
+    sim = br_sim()
+    frames = on_air(sim)
+    sim.engine.run_until(2 * sim.br_params.bcast_ms, sim._handle)
+    beacons = [f for f in frames if f.type is MessageType.DST_BCAST]
+    assert len(beacons) == 3 and beacons[0] == DstBcast(2)
+    assert all(b is beacons[0] for b in beacons)
 
 
 # ---- ACK handling and BEB --------------------------------------------------------

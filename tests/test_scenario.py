@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from brsim import cli
 from brsim.channel import Position, WallSegment
 from brsim.scenario import (
     ParseError,
@@ -369,6 +370,30 @@ def test_parse_document_errors():
             parse_document(tagged)
     with pytest.raises(ScenarioError):
         parse_document("- just\n- a list\n")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("a: \x01", "line 1, column 4"),
+        ("a: 1\nb:\n  c: \x07\n", "line 3, column 6"),
+        ("a: 1\r\nb: \x01", "line 2, column 4"),  # one break, as YAML counts it
+        ("\x01", "line 1, column 1"),
+    ],
+)
+def test_a_character_yaml_rejects_is_reported_with_its_line_and_column(text, where):
+    with pytest.raises(ParseError, match=f"^rd.yaml: {where}: unacceptable character #x"):
+        parse_document(text, "rd.yaml")
+
+
+def test_a_scenario_file_with_a_rejected_character_exits_2(tmp_path, capsys):
+    path = tmp_path / "rd.yaml"
+    path.write_text("a: \x01\n")
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 1, column 4: unacceptable character #x0001:"
+        " special characters are not allowed\n"
+    )
 
 
 DUPLICATE_FREE = "horizon_s: 10\ntraffic: {sources: [0]}\nbr:\n  relay_probability: 0.5\n"
