@@ -1,10 +1,11 @@
 """Basketball routing node.
 
-Every station flips a coin at the start of each decision epoch: with
-probability p it listens (and may relay for others), otherwise it transmits
-any queued data of its own. Each station keeps its own epoch grid: a uniform
-offset in [0, epoch_ms), then one epoch every epoch_ms (in an untraced run
-an idle station skips the epochs it need not run; see on_epoch). Forwarding
+Every station has a coin for each decision epoch: with probability p it
+listens (and may relay for others), otherwise it transmits any queued data
+of its own. Each station keeps its own epoch grid: a uniform offset in
+[0, epoch_ms), then one epoch every epoch_ms. The coin of an epoch is a pure
+function of (run seed, station, epoch index) (see the engine module), so a
+station runs its epochs only while it holds a packet. Forwarding
 is greedy on the responders' stored destination RSSI; when no responder
 beats the sender's own reading, or nobody answered at all, the node shoots
 directly at the destination. Once a packet has travelled more than loop_threshold hops,
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import MAX_BOUND, DecisionEpoch
+from .engine import MAX_BOUND, DecisionEpoch, coin_key, epoch_coin
 from .frame import Frame
 from .protocol import PacketMeta, RadioNode, ResponseRecord
 
@@ -71,85 +72,57 @@ class BrNode(RadioNode):
 
     def __init__(self, node_id: int, sim) -> None:
         super().__init__(node_id, sim)
-        # Mode until the first epoch: drawn from the same coin, so the
-        # degenerate probabilities behave exactly from t = 0 onward. The
-        # first epoch's offset is drawn next.
-        self.listening = False
-        self._parked_at: int | None = None  # the last epoch's tick while parked
+        engine, p = sim.engine, self.params
         self._epoch = DecisionEpoch(node_id)  # one event, scheduled for every epoch
+        self._epoch_due = False  # whether that event is in the engine's heap
+        self._key = coin_key(engine.run_seed, node_id)
+        # the destination never relays: its coin never says listen
+        self._threshold = 0 if self.is_destination else round(p.relay_probability * (1 << 53))
+        self._coin_epoch: int | None = None  # the epoch whose coin was read last
+        self._coin = False
+        self.offset = 0
         if not self.is_destination:
-            engine, p = sim.engine, self.params
-            self.listening = engine.bernoulli(self.id, p.relay_probability)
             self.offset = engine.draw_uniform(self.id, p.epoch_ms)
-            engine.schedule(self.offset, self._epoch)
 
     # ---- epoch ------------------------------------------------------------
 
-    def on_epoch(self) -> None:
-        """Redraw the mode; in transmit mode, start on queued data if free.
+    @property
+    def listening(self) -> bool:
+        """The coin of the epoch that holds now; an epoch starts at its tick.
 
-        The coin is flipped every epoch regardless of queue state, so with
-        p = 0 no station ever listens and with p = 1 none ever transmits its
-        own data. The next epoch is scheduled last, so a timer armed here wins
-        a same-tick tie with it. The destination takes no epochs: none is
-        ever scheduled for it.
-
-        When the engine has a grid_ms (an untraced run), a station that
-        holds no packet after its coin parks instead: it schedules no next
-        epoch, since until it is woken its epochs would only redraw a coin
-        that nothing reads. It keeps its grid and catches up on the coins it
-        missed when it is read (on_rts) or woken (wake). Stations that share
-        an offset share a grid; the engine wakes them together.
+        Epoch k covers [offset + k*epoch_ms, offset + (k+1)*epoch_ms), and
+        epoch -1 runs from t = 0 until the first one. With p = 0 a station
+        never listens and with p = 1 it never transmits its own data.
         """
-        engine = self.sim.engine
-        self.listening = engine.bernoulli(self.id, self.params.relay_probability)
-        if self.queue:
-            if not self.listening and not self.in_hop:
-                self._start_handshake()
-        elif engine.grid_ms:
-            self._parked_at = engine.now
-            engine.parked.setdefault(self.offset, []).append(self)
+        k = (self.sim.engine.now - self.offset) // self.params.epoch_ms
+        if k != self._coin_epoch:
+            self._coin_epoch = k
+            self._coin = epoch_coin(self._key, k, self._threshold)
+        return self._coin
+
+    def on_epoch(self) -> None:
+        """In transmit mode, start on queued data if free; then schedule the next epoch.
+
+        A station runs epochs only while it holds a packet: one that holds
+        none schedules no next epoch, and _on_free schedules one again when
+        a packet comes. The next epoch is scheduled last, so a timer armed
+        here wins a same-tick tie with it. The destination takes no epochs.
+        """
+        if not self.queue:
+            self._epoch_due = False
             return
+        if not self.in_hop and not self.listening:
+            self._start_handshake()
+        engine = self.sim.engine
         engine.schedule(engine.now + self.params.epoch_ms, self._epoch)
 
-    def _catch_up(self) -> None:
-        """Draw the coins of the grid epochs that ran while parked; stay parked.
-
-        An epoch at the current tick counts as run if the event being
-        processed was scheduled later than the eager epoch was, at
-        now - epoch_ms. An event scheduled at that same tick comes before the
-        epoch: engine.schedule wakes a parked clock before it files an event
-        one period ahead onto the clock's grid.
-        """
-        engine = self.sim.engine
-        period = self.params.epoch_ms
-        now = engine.now
-        last = now - (now - self.offset) % period  # the latest grid tick up to now
-        if last == now and engine.since <= now - period:
-            last -= period
-        missed = (last - self._parked_at) // period
-        if missed > 0:
-            stream = engine.stream(self.id)
-            for _ in range(missed - 1):
-                stream.next_u64()  # a coin is one draw, and only the last is read
-            self.listening = stream.bernoulli(self.params.relay_probability)
-            self._parked_at = last
-
-    def wake(self) -> None:
-        """Catch up, then schedule the next grid epoch where it would have run (Engine.wake)."""
-        self._catch_up()
-        last, self._parked_at = self._parked_at, None
-        self.sim.engine.schedule(last + self.params.epoch_ms, self._epoch, since=last)
-
-    def on_rts(self, tx: int) -> None:
-        if self._parked_at is not None:
-            self._catch_up()
-        super().on_rts(tx)
-
-    def enqueue(self, meta: PacketMeta) -> None:
-        if self._parked_at is not None:
-            self.sim.engine.wake(self.offset)
-        super().enqueue(meta)
+    def _on_free(self) -> None:
+        """A station that holds a packet has an epoch due: the grid tick at or after now."""
+        if self.queue and not self._epoch_due:
+            self._epoch_due = True
+            engine = self.sim.engine
+            now = engine.now
+            engine.schedule(now + (self.offset - now) % self.params.epoch_ms, self._epoch)
 
     # ---- channel access -------------------------------------------------------
 

@@ -1,23 +1,9 @@
 """Deterministic discrete-event core: millisecond clock, FIFO-stable heap, RNG.
 
 Time is an unsigned integer count of simulated milliseconds. Events pop in
-(time, since, seq) order: since is the tick at which the event was scheduled
-and seq the global schedule order, so same-tick events process in the order
-they were scheduled (seq grows with since). Scheduling into the past raises
-PastEventError.
-
-The since key lets a parked epoch clock rejoin the order. When grid_ms is
-set, a station whose decision epochs only redraw an idle coin stops
-scheduling them (`BrNode.on_epoch`). Woken, it pushes its next epoch at
-tick t with since = t - grid_ms, the tick at which an eager clock would have
-scheduled it. Among the events scheduled then for t, an eager epoch would
-sit by seq, so an event scheduled exactly grid_ms ahead onto a parked
-clock's grid first wakes the clock (`schedule`), whose next epoch precedes
-the event: the one at t if this tick's epoch has run, else this tick's,
-which goes on to schedule the one at t after the event. Clocks on one grid
-run same-tick epochs in id order. They park one by one but wake together,
-in id order (`wake`), and a running clock's next epoch wakes its grid
-first, so woken epochs file after the running clocks' epochs.
+(time, seq) order, where seq is the global schedule order, so same-tick
+events process in the order they were scheduled. Scheduling into the past
+raises PastEventError.
 
 Randomness comes from per-node xorshift64* streams so one node's draws never
 perturb another's. The generator is fully specified by its update equations
@@ -35,6 +21,17 @@ splitmix64:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) mod 2**64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2**64
     output = z ^ (z >> 31)
+
+A br station's listen coin is no stream draw: the coin of station i in
+epoch k (k = -1 before its first epoch, which runs until its offset) is
+
+    key_i = derive_stream_seed(run_seed ^ COIN_DOMAIN, i)
+    listen = splitmix64(key_i ^ (k mod 2**64)) mod 2**53 < round(p * 2**53)
+
+with splitmix64 the one round above and COIN_DOMAIN = 0x425220636F696E73
+(the ASCII bytes of "BR coins"). A coin is a pure function of (run seed,
+station, epoch), so any epoch's coin is known without running the epochs
+before it.
 
 Both recurrences are implementation-language independent; any runtime with
 64-bit integers reproduces the same draws.
@@ -65,6 +62,22 @@ def derive_stream_seed(run_seed: int, node_id: int) -> int:
     mixed = _splitmix64(run_seed & _MASK64)
     mixed = _splitmix64(mixed ^ ((node_id + 1) * 0x9E3779B97F4A7C15 & _MASK64))
     return mixed or 0x9E3779B97F4A7C15
+
+
+COIN_DOMAIN = 0x425220636F696E73  # b"BR coins": keys the epoch coins apart from the streams
+
+
+def coin_key(run_seed: int, node_id: int) -> int:
+    """The key of one station's epoch coins; see the module docstring."""
+    return derive_stream_seed(run_seed ^ COIN_DOMAIN, node_id)
+
+
+def epoch_coin(key: int, epoch: int, threshold: int) -> bool:
+    """The coin of one epoch: True (listen) on a 2**53 grid below threshold.
+
+    threshold is round(p * 2**53), so p = 0 never listens and p = 1 always does.
+    """
+    return _splitmix64(key ^ (epoch & _MASK64)) & _MASK53 < threshold
 
 
 class RngStream:
@@ -206,37 +219,21 @@ class Engine:
     """Event loop plus the per-node RNG streams for one run."""
 
     def __init__(self, run_seed: int, trace: TextIO | None = None) -> None:
+        self.run_seed = run_seed
         self.trace = trace
         self.now = 0
         self.processed = 0
-        # the tick at which the event being processed was scheduled
-        self.since = 0
-        self._heap: list[tuple[int, int, int, Event]] = []
+        self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._streams = _Streams(run_seed)
-        # the parking grid's period (0: nothing parks) and the parked epoch
-        # clocks, each with an id and wake(), listed by residue modulo it
-        self.grid_ms = 0
-        self.parked: dict[int, list] = {}
 
-    def schedule(self, time: int, event: Event, since: int | None = None) -> None:
-        """Push an event; `since` defaults to now (see the module docstring).
-
-        It sorts after every event already pushed with the same time and since.
-        """
-        now = self.now
-        if time < now:
-            raise PastEventError(f"cannot schedule at {time}, current time is {now}")
-        if time - now == self.grid_ms and self.parked and time % self.grid_ms in self.parked:
-            self.wake(time % self.grid_ms)
+    def schedule(self, time: int, event: Event) -> None:
+        """Push an event; it sorts after every event already pushed for the same time."""
+        if time < self.now:
+            raise PastEventError(f"cannot schedule at {time}, current time is {self.now}")
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (time, now if since is None else since, seq, event))
-
-    def wake(self, residue: int) -> None:
-        """Wake every clock parked on the grid of this residue, in id order."""
-        for clock in sorted(self.parked.pop(residue), key=lambda c: c.id):
-            clock.wake()
+        heapq.heappush(self._heap, (time, seq, event))
 
     def pending(self) -> int:
         return len(self._heap)
@@ -246,7 +243,7 @@ class Engine:
         return [(entry[0], entry[-1]) for entry in sorted(self._heap)]
 
     def run_until(self, horizon: int, handler: Callable[[Event], None]) -> int:
-        """Process events with time <= horizon in (time, since, seq) order.
+        """Process events with time <= horizon in (time, seq) order.
 
         Returns the number processed. On return, now == horizon. Every event
         processed, the one whose handler raised too, is on the trace stream.
@@ -255,10 +252,9 @@ class Engine:
         heap, pop, out, trace = self._heap, heapq.heappop, self.trace, []
         try:
             while heap and heap[0][0] <= horizon:
-                time, since, _, event = pop(heap)
+                time, _, event = pop(heap)
                 assert time >= self.now, "event popped out of order"
                 self.now = time
-                self.since = since
                 self.processed += 1
                 if out is not None:
                     trace += TRACE_LINES[type(event)](time, event)
@@ -282,11 +278,9 @@ class Engine:
         """
         self._heap.clear()
 
-    def stream(self, node_id: int) -> RngStream:
-        return self._streams[node_id]
-
     def draw_uniform(self, node_id: int, bound: int) -> int:
         return self._streams[node_id].randbelow(bound)
 
     def bernoulli(self, node_id: int, p: float) -> bool:
+        # no simulator code draws a coin from a stream; perfbench's tracer wraps this name
         return self._streams[node_id].bernoulli(p)

@@ -15,7 +15,8 @@ only its policy:
   frame. An Ack skips `send` and goes on the air at once.
 
 When a handshake starts is policy too: BR starts one at a transmit epoch
-(`on_epoch`), the baseline as soon as it is idle with data (`_on_free`).
+(`on_epoch`, which `_on_free` keeps due while the node holds a packet), the
+baseline as soon as it is idle with data (`_on_free`).
 
 Frames are immutable values, so a node builds each one it repeats once: its
 RTS and its Ack at construction, and one Response per RTS owner, built again
@@ -268,4 +269,4 @@ class RadioNode:
                 self._start_handshake()
 
     def _on_free(self) -> None:
-        """The queue gained a packet or lost its head; BR waits for its epoch."""
+        """The queue gained a packet or lost its head; BR keeps an epoch due."""

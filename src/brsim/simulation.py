@@ -200,26 +200,18 @@ class Simulation:
     def run(self) -> RunMetrics:
         """Run to the horizon; when untraced, skip events that change nothing.
 
-        An untraced run leaves out three kinds of event that cannot change
+        An untraced run leaves out two kinds of event that cannot change
         generated, outcomes, hops or routing_log. A traced run keeps every
         event, because its trace records them.
 
         - Quiescence: once every traffic arrival due within the horizon has
-          fired and no node holds a packet, only idle epochs and beacons
-          remain, so the run stops there.
+          fired and no node holds a packet, only beacons remain (a br
+          station runs epochs only while it holds a packet), so the run
+          stops there.
         - Repeat beacon arrivals: the channel is static, so a station that
           already holds a destination reading would store the same value
           again. The beacon still occupies the channel, so collisions and
           carrier sense are unchanged.
-        - Idle decision epochs (br): setting engine.grid_ms lets every
-          station with an empty queue park its epoch clock
-          (BrNode.on_epoch). Such an epoch only redraws the listen coin,
-          which only an RTS reads. The station draws the coins it missed,
-          in order, on its own stream before an RTS reads them or a packet
-          wakes it, so every draw and every other event keep their order.
-          Stations that share an epoch offset wake together, in id order,
-          and a woken epoch takes the place in the event order that the
-          eager one would have held (see the engine module).
 
         Outcomes are written as they happen, so nothing is left to assign
         once the event loop returns.
@@ -229,8 +221,6 @@ class Simulation:
         counting alone instead of waiting for a cyclic garbage collection.
         """
         self._stop_when_idle = self.engine.trace is None
-        if self._stop_when_idle and self.protocol == "br":
-            self.engine.grid_ms = self.br_params.epoch_ms
         self._stop_if_idle()
         self.engine.run_until(self.scenario.horizon_ms, self._handle)
         for node in self.nodes.values():
@@ -253,8 +243,7 @@ def _on_arrival(sim: Simulation, ev: FrameArrival) -> None:
     of two or more stops the run: only an Ack ends a hop (`_end_hop` ->
     `packet_dequeued` -> `Engine.stop`), Acks, Responses and Routing frames
     are addressed, and `on_rts` and `on_dst_beacon` never dequeue. What a
-    handler schedules sorts after the rest by since (now), or by seq if it
-    is an epoch woken at this tick (1 ms epochs only, by `_catch_up`'s rule).
+    handler schedules sorts after every event already scheduled.
     """
     frame, tx, link = ev.frame, ev.tx, sim.link
     sent = sim._tx[sim.engine.now - 1]  # the frame's tick, never pruned yet

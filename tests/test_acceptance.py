@@ -402,8 +402,8 @@ def test_criterion_9_epoch_coin_bias():
     assert not node.is_destination
 
     listening = 0
-    for _ in range(draws):
-        node.on_epoch()
+    for k in range(draws):
+        sim.engine.now = node.offset + k * scenario.br.epoch_ms  # the start of epoch k
         listening += node.listening
     fraction = listening / draws
     tolerance = 4.0 * math.sqrt(p * (1.0 - p) / draws)

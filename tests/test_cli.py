@@ -113,7 +113,7 @@ def test_a_failed_run_keeps_its_trace_up_to_the_failing_event(tmp_path, capsys, 
     def failing_epoch(sim, ev):
         nonlocal epochs
         epochs += 1
-        if epochs == 200:
+        if epochs == 20:
             failed_at.extend(TRACE_LINES[DecisionEpoch](sim.engine.now, ev))
             raise RuntimeError("injected failure")
         sim.nodes[ev.node].on_epoch()

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from brsim.engine import (
+    COIN_DOMAIN,
     BeaconTick,
     DecisionEpoch,
     Engine,
@@ -13,11 +14,14 @@ from brsim.engine import (
     PastEventError,
     RngStream,
     TimerFire,
+    coin_key,
     derive_stream_seed,
+    epoch_coin,
 )
 from brsim.frame import Ack, DstBcast, Response, Routing, SrcBcast
 
 MASK = (1 << 64) - 1
+MASK53 = (1 << 53) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -80,6 +84,34 @@ def test_xorshift64star_reference_sequences():
     ]
 
 
+def test_coin_key_is_a_stream_seed_of_the_coin_domain():
+    assert COIN_DOMAIN == int.from_bytes(b"BR coins", "big")
+    for run_seed in (0, 1, 42, 0xFFFFFFFFFFFFFFFF):
+        for node in (0, 1, 7, 65534):
+            assert coin_key(run_seed, node) == derive_stream_seed(run_seed ^ COIN_DOMAIN, node)
+
+
+def test_keyed_coin_reference_vectors():
+    key_1 = coin_key(0, 1)
+    assert key_1 == 0x7BD190C49CEBBCE6
+    # epochs -1..6: splitmix64(key ^ (k mod 2**64)) mod 2**53
+    draws = [reference_splitmix64(key_1 ^ (k & MASK)) & MASK53 for k in range(-1, 7)]
+    assert draws == [
+        0x1B863C5E21856E,
+        0x125E989DAEA019,
+        0x03AFDA5A3FFAC7,
+        0x01085D44099A68,
+        0x161A17944AD358,
+        0x1B637EFD4012DB,
+        0x1DA98B1E07C9E3,
+        0x1EE8E7889E7657,
+    ]
+    threshold = round(0.73 * 2**53)
+    coins = [epoch_coin(key_1, k, threshold) for k in range(-1, 7)]
+    assert coins == [d < threshold for d in draws]
+    assert coins == [False, True, True, True, True, False, False, False]
+
+
 def test_zero_seed_rejected():
     with pytest.raises(ValueError):
         RngStream(0)
@@ -116,6 +148,32 @@ def test_a_power_of_two_bound_masks_the_draw(bound):
     for _ in range(200):
         assert a.randbelow(bound) == b.next_u64() % bound
     assert a._state == b._state
+
+
+def _within_four_sigma(hits, n, q):
+    return abs(hits - n * q) < 4 * math.sqrt(n * q * (1 - q))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.73])
+def test_keyed_coins_are_unbiased_and_independent(p):
+    """200 stations x 1,000 epochs: the listen fraction is p, and two coins
+    agree with probability p**2 + (1 - p)**2 whether they are adjacent epochs
+    of one station or one epoch of adjacent stations. Pairs are disjoint, so
+    that they are independent under the model."""
+    threshold = round(p * 2**53)
+    stations, epochs = 200, 1000
+    coins = [
+        [epoch_coin(coin_key(2026, i), k, threshold) for k in range(epochs)]
+        for i in range(stations)
+    ]
+    assert _within_four_sigma(sum(map(sum, coins)), stations * epochs, p)
+    agree = p * p + (1 - p) ** 2
+    same_station = sum(row[k] == row[k + 1] for row in coins for k in range(0, epochs, 2))
+    assert _within_four_sigma(same_station, stations * epochs // 2, agree)
+    same_epoch = sum(
+        a == b for i in range(0, stations, 2) for a, b in zip(coins[i], coins[i + 1])
+    )
+    assert _within_four_sigma(same_epoch, stations // 2 * epochs, agree)
 
 
 def test_randbelow_uniform_within_four_sigma():

@@ -7,12 +7,17 @@ A refactor or a speed-up must leave every hash unchanged.
 
 Rewrite the file (`PYTHONPATH=src python tests/test_golden.py`) only for a
 change that alters simulated behaviour on purpose, and say so in the change.
+A change meant to move one protocol only rewrites that protocol's hashes
+with `--protocol br` (or `aodv`): it refuses to write if any hash of the
+other protocol moved, and lists the keys it rewrote.
 """
 
+import argparse
 import hashlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -149,8 +154,32 @@ def test_traces_match_golden(golden):
     assert traced_hashes() == golden["traced"]
 
 
+def moved_keys(old: dict, new: dict) -> list[str]:
+    """Every "group/protocol/seed" key whose hash differs, is new or is gone."""
+    return sorted(
+        key
+        for group in old.keys() | new.keys()
+        for key in old.get(group, {}).keys() | new.get(group, {}).keys()
+        if old.get(group, {}).get(key) != new.get(group, {}).get(key)
+    )
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the golden behaviour fixture.")
+    parser.add_argument(
+        "--protocol",
+        choices=BOTH,
+        help="rewrite only this protocol's hashes; refuse if another protocol's moved",
+    )
+    args = parser.parse_args()
     table = {group: group_hashes(group) for group in GROUPS}
     table["traced"] = traced_hashes()
+    if args.protocol:
+        moved = moved_keys(json.loads(FIXTURE.read_text()), table)
+        others = [key for key in moved if key.split("/")[1] != args.protocol]
+        if others:
+            sys.exit(f"not written: {len(others)} hashes of other protocols moved: {others}")
+        print("\n".join(moved))
+        print(f"{len(moved)} {args.protocol} hashes moved")
     FIXTURE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, table.values()))} hashes to {FIXTURE}")

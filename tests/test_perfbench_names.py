@@ -20,33 +20,36 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 # Tracer.exact() after tandem12 at 5 nodes, seed 0, br then aodv, both traced.
 # Nodes put routing frames and acks on the air through transmit_at, not
 # transmit, and cli.trace_lines is 0 because traced runs stream their trace
-# to a file instead of returning it.
+# to a file instead of returning it. A br epoch coin is a keyed hash, not a
+# stream draw, so no run calls Engine.bernoulli: rng.coin_flips and
+# protocol.coins_listen are 0. A br station runs epochs only while it holds
+# a packet, so the traced br run takes 603 epochs, not 1200.
 TANDEM5_SEED0 = {
-    "engine.events": 4000,
-    "engine.events.arrive": 1114,
-    "engine.events.timer": 1384,
-    "engine.events.epoch": 1200,
+    "engine.events": 3365,
+    "engine.events.arrive": 1100,
+    "engine.events.timer": 1360,
+    "engine.events.epoch": 603,
     "engine.events.beacon": 302,
-    "engine.heap_peak": 26,
-    "rng.draws": 654,
-    "rng.coin_flips": 1204,
-    "channel.link_queries": 656,
+    "engine.heap_peak": 25,
+    "rng.draws": 640,
+    "rng.coin_flips": 0,
+    "channel.link_queries": 642,
     "channel.link_pairs": 24,
-    "channel.sir_checks": 2160,
-    "channel.arrivals_scheduled": 1116,
-    "channel.arrivals_accepted": 2130,
-    "simulation.transmissions.src_bcast": 189,
-    "simulation.transmissions.response": 305,
-    "simulation.transmissions.routing": 189,
+    "channel.sir_checks": 2141,
+    "channel.arrivals_scheduled": 1102,
+    "channel.arrivals_accepted": 2119,
+    "simulation.transmissions.src_bcast": 184,
+    "simulation.transmissions.response": 296,
+    "simulation.transmissions.routing": 184,
     "simulation.transmissions.ack": 160,
     "simulation.transmissions.dst_bcast": 302,
     "simulation.cca_checks": 316,
     "simulation.cca_busy": 0,
-    "protocol.handshakes": 189,
-    "protocol.hop_attempts": 189,
+    "protocol.handshakes": 184,
+    "protocol.hop_attempts": 184,
     "protocol.hops_acked": 160,
-    "protocol.backoffs": 29,
-    "protocol.coins_listen": 1001,
+    "protocol.backoffs": 24,
+    "protocol.coins_listen": 0,
     "cli.trace_lines": 0,
 }
 

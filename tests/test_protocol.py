@@ -4,7 +4,7 @@ import pytest
 
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams
-from brsim.engine import TimerFire
+from brsim.engine import DecisionEpoch, TimerFire
 from brsim.frame import Ack, DstBcast, MessageType, Response, Routing, SrcBcast
 from brsim.metrics import Outcome
 from brsim.protocol import PacketMeta, ResponseRecord
@@ -27,6 +27,14 @@ def br_sim(seed=0, **kwargs):
 
 def rr(responder, dst_rssi, link_rssi=-50):
     return ResponseRecord(responder, dst_rssi, link_rssi)
+
+
+def to_coin(node, listening):
+    """Move the clock to the start of the node's first epoch whose coin is `listening`."""
+    engine = node.sim.engine
+    engine.now = node.offset
+    while node.listening is not listening:
+        engine.now += node.params.epoch_ms
 
 
 def scheduled(sim, tag=None):
@@ -132,8 +140,11 @@ def test_routing_accept_acks_and_enqueues():
     meta = relay.queue[0]
     assert (meta.uid, meta.source, meta.dest, meta.hop_count) == (77, 0, 2, 1)
     assert relay.prior_forwarders[77] == {0}
-    assert sim.engine.pending() == before + 1  # the Ack arrival at node 0
+    # the Ack arrival at node 0, and the relay's first epoch: it now holds a packet
+    assert sim.engine.pending() == before + 2
     assert 1 in sim._tx[sim.engine.now]
+    [epoch_at] = [t for t, ev in scheduled(sim) if ev == DecisionEpoch(1)]
+    assert epoch_at == relay.offset  # the first grid tick at or after now (0)
 
 
 def test_duplicate_routing_acked_but_not_requeued():
@@ -361,7 +372,7 @@ def test_ack_timer_ignored_outside_await_ack():
 def test_rts_response_jitter_whole_slots_within_window():
     sim = br_sim()
     relay = sim.nodes[1]
-    relay.listening = True
+    to_coin(relay, True)
     relay.dst_rssi = -61
     for _ in range(200):
         relay.on_rts(0)
@@ -378,7 +389,7 @@ def test_non_listening_node_stays_silent():
     sim = br_sim()
     relay = sim.nodes[1]
     relay.dst_rssi = -61
-    relay.listening = False
+    to_coin(relay, False)
     relay.on_rts(0)
     assert scheduled(sim, "respond") == []
 
@@ -386,7 +397,7 @@ def test_non_listening_node_stays_silent():
 def test_node_without_beacon_reading_stays_silent():
     sim = br_sim()
     relay = sim.nodes[1]
-    relay.listening = True
+    to_coin(relay, True)
     relay.dst_rssi = None
     relay.on_rts(0)
     assert scheduled(sim, "respond") == []

@@ -15,15 +15,7 @@ from test_acceptance import SWEEP_OVERRIDES
 from brsim import simulation
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams, LinkCache
-from brsim.engine import (
-    TRACE_LINES,
-    BeaconTick,
-    DecisionEpoch,
-    Engine,
-    Event,
-    FrameArrival,
-    TimerFire,
-)
+from brsim.engine import BeaconTick, Event, FrameArrival
 from brsim.frame import DstBcast, MessageType, Routing, SrcBcast
 from brsim.scenario import build_scenario, load_scenario
 from brsim.simulation import _DISPATCH, Simulation, run_many, run_scenario
@@ -292,20 +284,30 @@ def test_epochs_offset_then_periodic_per_node():
         {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (10.0, 0.0)},
         2,
         sources=(0,),
-        start_ms=10**9,
-        horizon_ms=30_000,
+        channel=ChannelParams(tx_range_m=6.0),
+        start_ms=1_000,
+        horizon_ms=300_000,
     )
-    _, trace = traced_run(scenario, "br", 1)
+    sim = Simulation(scenario, "br", 1, trace=io.StringIO())
+    metrics = sim.run()
+    trace = sim.engine.trace.getvalue().splitlines()
+    assert metrics.delivered_count == 1
     epoch_ms = scenario.br.epoch_ms
     for node in (0, 1):
+        offset = sim.nodes[node].offset
+        assert 0 <= offset < epoch_ms
         times = [
             int(ln.split("\t")[0])
             for ln in trace
             if ln.split("\t")[1] == "epoch" and ln.split("\t")[2] == str(node)
         ]
-        assert times, f"node {node} never took an epoch"
-        assert 0 <= times[0] < epoch_ms
+        # from the first grid tick at or after the packet's arrival, one
+        # epoch per period, up to the first one after the packet has left
+        [held] = [h.time_ms for h in metrics.hops if h.receiver == node] or [1_000]
+        [left] = [h.time_ms for h in metrics.hops if h.sender == node and h.success]
+        assert times[0] == held + (offset - held) % epoch_ms
         assert all(b - a == epoch_ms for a, b in zip(times, times[1:]))
+        assert times[-1] - epoch_ms < left <= times[-1]
     assert not any(
         ln.split("\t")[1] == "epoch" and ln.split("\t")[2] == "2" for ln in trace
     )
@@ -504,8 +506,11 @@ def test_untraced_spiral_stops_early_with_identical_results():
 
     quick, full = _untraced_and_traced(_spiral_scenario(), "br")
     _same_behaviour(quick, full)
-    assert quick.metrics.outcomes[0].reason == "max_attempts"
-    assert quick.engine.processed * 4 < full.engine.processed
+    [outcome] = quick.metrics.outcomes.values()
+    assert outcome.reason == "max_attempts"
+    # the traced run goes on to the horizon with beacons alone
+    assert quick.engine.now == full.engine.now == _spiral_scenario().horizon_ms
+    assert quick.engine.processed * 3 < full.engine.processed
 
 
 def test_hand_driven_run_until_is_never_stopped_early():
@@ -553,9 +558,9 @@ def test_no_traffic_arrival_is_scheduled_past_the_horizon(protocol):
         horizon_ms=350_000,
     )
     sim = Simulation(scenario, protocol, 0)
-    epochs = 2 if protocol == "br" else 0  # one per station but the destination
-    # the beacon, the epochs, and each source's arrivals at 50, 150, 250 and 350 s
-    assert sim.engine.pending() == 1 + epochs + 2 * 4
+    # the beacon and each source's arrivals at 50, 150, 250 and 350 s: no
+    # station holds a packet yet, so no br station has an epoch due
+    assert sim.engine.pending() == 1 + 2 * 4
     assert sim._traffic_due == 2 * 4
 
 
@@ -633,15 +638,15 @@ def test_untraced_runs_send_beacons_only_to_stations_without_a_reading():
     assert any(_beacon_arrivals(scenario, trace=io.StringIO()))
 
 
-# ---- parked epoch clocks ----------------------------------------------------------
+# ---- same-tick epoch ties --------------------------------------------------------
 
 
 def _forced_ties(epoch_ms, count=8, gap=7, span=400, **br):
     """Every station a source on a short chain, with br waits on the epoch grid.
 
-    Short epochs and dense traffic make a parked station's grid tick meet
-    other events often, and waits of whole epochs schedule events exactly
-    one epoch ahead, onto the grids of parked stations. Packets come every
+    Short epochs and dense traffic make a station's grid tick meet other
+    events often, and waits of whole epochs schedule events exactly one
+    epoch ahead, onto the grid ticks of other stations. Packets come every
     `gap` epochs, and the run lasts `span` epochs.
     """
     overrides = [
@@ -657,7 +662,7 @@ def _forced_ties(epoch_ms, count=8, gap=7, span=400, **br):
     return load_scenario("tandem12", overrides=overrides)
 
 
-PARKING_TIES = {
+EPOCH_TIES = {
     "ack_wait=epoch": lambda: _forced_ties(13, ack_wait_ms=13, response_wait_ms=14, slot_ms=1),
     "response_wait=epoch": lambda: _forced_ties(5, response_wait_ms=5, ack_wait_ms=10, slot_ms=1),
     "2 slots=epoch": lambda: _forced_ties(40, slot_ms=20, response_wait_ms=40, ack_wait_ms=80),
@@ -669,93 +674,12 @@ PARKING_TIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PARKING_TIES))
+@pytest.mark.parametrize("name", sorted(EPOCH_TIES))
 def test_untraced_runs_with_parked_epochs_behave_as_traced_runs(name):
-    scenario = PARKING_TIES[name]()
+    scenario = EPOCH_TIES[name]()
     for seed in range(12):
         quick, full = _untraced_and_traced(scenario, "br", seed)
         _same_behaviour(quick, full)
-
-
-def test_parked_epochs_keep_the_order_of_same_tick_epochs():
-    # nodes 4 and 6 share an epoch tick at 114,648 ms: a woken epoch filed
-    # after the other would swap them and change the hops
-    scenario = load_scenario("tandem12", overrides=["topology.count=15", *SWEEP_OVERRIDES])
-    quick, full = _untraced_and_traced(scenario, "br", 77)
-    _same_behaviour(quick, full)
-
-
-def test_stations_that_share_an_epoch_offset_park_and_wake_together():
-    # 1 ms epochs put every station on one grid, residue 0
-    scenario = load_scenario(
-        "tandem12",
-        overrides=[
-            "topology.count=5",
-            "br.epoch_ms=1",
-            "traffic.sources=[0]",
-            "traffic.packets_per_source=1",
-            "traffic.start_ms=1000",
-            "horizon_ms=5000",
-        ],
-    )
-    sim = Simulation(scenario, "br", 0)
-    handle, seen = sim._handle, []
-
-    def recording(ev):
-        if ev == TimerFire(0, "traffic", 0):
-            # idle since their first epochs, all four sit parked on the grid
-            seen.append([n.id for n in sim.engine.parked[0]])
-            handle(ev)
-            # the packet wakes the whole grid: their epochs at this tick run in id order
-            seen.append(dict(sim.engine.parked))
-            pending = sim.engine.pending_events()
-            seen.append([e.node for _, e in pending if isinstance(e, DecisionEpoch)])
-        else:
-            handle(ev)
-
-    sim._handle = recording
-    sim.run()
-    assert seen == [[0, 1, 2, 3], {}, [0, 1, 2, 3]]
-    quick, full = _untraced_and_traced(scenario, "br")
-    _same_behaviour(quick, full)
-
-
-class _EagerEngine(Engine):
-    """An engine on which no epoch clock parks: its grid_ms stays 0."""
-
-    grid_ms = property(lambda self: 0, lambda self, value: None)
-
-
-def _events(scenario, seed, park):
-    """Every event an untraced br run processes, as its trace lines."""
-    with pytest.MonkeyPatch.context() as patch:
-        if not park:
-            patch.setattr(simulation, "Engine", _EagerEngine)
-        sim = Simulation(scenario, "br", seed)
-        handle = sim._handle
-        seen = []
-
-        def recording(ev):
-            seen.extend(TRACE_LINES[type(ev)](sim.engine.now, ev))
-            handle(ev)
-
-        sim._handle = recording
-        sim.run()
-    return seen
-
-
-def test_parked_epochs_leave_every_other_event_in_place():
-    """Parking only removes epochs: the rest run in the same order as without it."""
-    scenario = _forced_ties(10, count=10, response_wait_ms=10, ack_wait_ms=10, slot_ms=1)
-    for seed in range(8):
-        parked = _events(scenario, seed, park=True)
-        eager = _events(scenario, seed, park=False)
-        assert [e for e in parked if "\tepoch\t" not in e] == [
-            e for e in eager if "\tepoch\t" not in e
-        ]
-        rest = iter(eager)
-        assert all(any(e == f for f in rest) for e in parked), "an epoch moved"
-        assert len(parked) < len(eager)
 
 
 def test_runs_of_one_scenario_share_one_link_table():
