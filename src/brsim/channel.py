@@ -179,12 +179,15 @@ class LinkCache:
     channel) pairs are equal by value: the seeds, the pooled copies and the
     `--p` sheets of one floor share one table.
 
-    Holds every ordered pair's RSSI and its linear power, and for each
-    transmitter the receivers that decode its data frames (`hearers`) and its
-    beacons on a quiet channel (`beacon_hearers`), both in ascending rx id.
-    The simulator looks up every link and adjudicates every frame arrival
-    here, so no geometry is computed during a run. Boundary ties (RSSI equal
-    to sensitivity, SIR equal to target) count as success.
+    RSSI is symmetric, so each unordered pair is computed once into one row
+    set, `_rssi[a][b] is _rssi[b][a]` in whole dBm, the diagonal included
+    (the destination's reading of its own beacon). Rows share one int per
+    dBm level, and `_level_mw` holds each level's linear power once.
+    `hearers` and `beacon_hearers` list, in ascending rx id, the receivers
+    that decode each transmitter's data frames and, on a quiet channel, its
+    beacons. The simulator looks up every link and adjudicates every frame
+    arrival here. Boundary ties (RSSI equal to sensitivity, SIR equal to
+    target) count as success.
     """
 
     def __init__(self, topology: Topology, params: ChannelParams) -> None:
@@ -193,18 +196,22 @@ class LinkCache:
         self._sir_lin = _linear_mw(params.target_sir_db)
         pos = topology.nodes
         ids = sorted(pos)
-        self._rssi: dict[int, dict[int, int]] = {}  # [tx][rx], whole dBm
-        self._mw: dict[int, dict[int, float]] = {}  # [tx][rx], linear
+        rows: dict[int, dict[int, int]] = {a: {} for a in ids}
+        levels: dict[int, int] = {}  # each level's one int object
+        for i, a in enumerate(ids):
+            row, at = rows[a], pos[a]
+            for b in ids[i:]:  # a <= b; rows fill in ascending id
+                level = rssi(at, pos[b], topology, params)
+                row[b] = rows[b][a] = levels.setdefault(level, level)
+        self._rssi = rows
+        self._level_mw = {level: _linear_mw(level) for level in levels}
+        noise, target = self._noise_mw, self._sir_lin
+        audible = {level: mw / noise >= target for level, mw in self._level_mw.items()}
         self.hearers: dict[int, tuple[int, ...]] = {}
         self.beacon_hearers: dict[int, tuple[int, ...]] = {}
-        for tx in ids:
-            row = self._rssi[tx] = {rx: rssi(pos[tx], pos[rx], topology, params) for rx in ids}
-            mw = self._mw[tx] = {rx: _linear_mw(value) for rx, value in row.items()}
-            others = [rx for rx in ids if rx != tx]
-            self.hearers[tx] = tuple(rx for rx in others if row[rx] >= self.sensitivity)
-            self.beacon_hearers[tx] = tuple(
-                rx for rx in others if mw[rx] / self._noise_mw >= self._sir_lin
-            )
+        for tx, row in rows.items():
+            self.hearers[tx] = tuple(rx for rx, v in row.items() if rx != tx and v >= self.sensitivity)
+            self.beacon_hearers[tx] = tuple(rx for rx, v in row.items() if rx != tx and audible[v])
 
     def rssi_of(self, tx: int, rx: int) -> int:
         return self._rssi[tx][rx]
@@ -215,35 +222,28 @@ class LinkCache:
 
     def beacon_audible(self, tx: int, rx: int) -> bool:
         """Beacon reach on a quiet channel: SIR against the noise floor alone."""
-        return tx != rx and self._mw[tx][rx] / self._noise_mw >= self._sir_lin
+        return tx != rx and self._level_mw[self._rssi[tx][rx]] / self._noise_mw >= self._sir_lin
 
-    def _sir_ok(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
+    def _sir_ok(self, tx: int, row: dict[int, int], concurrent: tuple[int, ...]) -> bool:
         """SIR at target or better against noise plus every concurrent sender.
 
-        `concurrent` is the other senders in ascending id. Their powers are
-        summed in the order given, so the caller's sort fixes the float sum.
+        `row` is the receiver's row (by symmetry, every sender's RSSI at it).
+        Powers are summed in the order of `concurrent`, which fixes the sum.
         """
+        mw = self._level_mw
         interference = self._noise_mw
         for other in concurrent:
-            interference += self._mw[other][rx]
-        return self._mw[tx][rx] / interference >= self._sir_lin
+            interference += mw[row[other]]
+        return mw[row[tx]] / interference >= self._sir_lin
 
     def delivery(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
         """Data-frame verdict: in hearing range and SIR at target or better.
 
-        `concurrent` holds every other node transmitting in the same tick,
-        in ascending id.
+        `concurrent` is every other sender of the tick, in ascending id.
         """
-        if tx == rx or self._rssi[tx][rx] < self.sensitivity:  # can_hear, inline
-            return False
-        return self._sir_ok(tx, rx, concurrent)
+        row = self._rssi[rx]  # can_hear, inline
+        return tx != rx and row[tx] >= self.sensitivity and self._sir_ok(tx, row, concurrent)
 
     def beacon(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
-        """Beacon verdict: SIR alone, no hearing-range gate.
-
-        `concurrent` holds every other node transmitting in the same tick,
-        in ascending id.
-        """
-        if tx == rx:
-            return False
-        return self._sir_ok(tx, rx, concurrent)
+        """Beacon verdict: SIR alone against `concurrent`, no hearing-range gate."""
+        return tx != rx and self._sir_ok(tx, self._rssi[rx], concurrent)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from brsim.channel import (
     sensitivity_dbm,
     wall_attenuation_db,
 )
+from brsim.scenario import grid_topology, load_scenario
 
 DEFAULTS = ChannelParams()
 
@@ -301,3 +303,126 @@ def test_link_cache_beacon_audible_is_quiet_channel_beacon():
     assert cache.beacon_audible(0, 1) == cache.beacon(0, 1, ())
     assert cache.beacon_audible(0, 2) == cache.beacon(0, 2, ())
     assert not cache.beacon_audible(0, 0)
+
+
+def reference_table(t, params):
+    """The link table built the direct way, as (rssi, hearers, beacon_hearers, verdict).
+
+    Every ordered pair gets its own `rssi()` and the linear power of that
+    value; the hearer lists and the verdicts are read off those two tables.
+    """
+    ids = sorted(t.nodes)
+    table = {tx: {rx: rssi(t.position(tx), t.position(rx), t, params) for rx in ids} for tx in ids}
+    mw = {tx: {rx: 10.0 ** (v / 10.0) for rx, v in row.items()} for tx, row in table.items()}
+    noise = 10.0 ** (params.noise_floor_dbm / 10.0)
+    target = 10.0 ** (params.target_sir_db / 10.0)
+    sens = sensitivity_dbm(params)
+    hearers = {tx: tuple(rx for rx in ids if rx != tx and table[tx][rx] >= sens) for tx in ids}
+    beacon_hearers = {
+        tx: tuple(rx for rx in ids if rx != tx and mw[tx][rx] / noise >= target) for tx in ids
+    }
+
+    def verdict(tx, rx, concurrent, gated):
+        if tx == rx or (gated and table[tx][rx] < sens):
+            return False
+        interference = noise
+        for other in concurrent:
+            interference += mw[other][rx]
+        return mw[tx][rx] / interference >= target
+
+    return table, hearers, beacon_hearers, verdict
+
+
+def sparse_floor(rng):
+    """A small floor with sparse ids in shuffled order, and walls that end on links.
+
+    Positions lie on a 0.1 m grid. Each wall has one end at the midpoint of
+    two stations, which puts it on their link up to float rounding: the
+    geometry where the touch tests' float signs decide the crossing.
+    """
+    n = rng.randrange(3, 13)
+    ids = rng.sample(range(0xFFFF), n)
+    nodes = {i: Position(rng.randrange(401) / 10, rng.randrange(101) / 10) for i in ids}
+    walls = []
+    for _ in range(rng.randrange(1, 4)):
+        p, q = (nodes[i] for i in rng.sample(ids, 2))
+        end = Position(rng.randrange(401) / 10, rng.randrange(101) / 10)
+        walls.append(
+            WallSegment(Position((p.x + q.x) / 2, (p.y + q.y) / 2), end, rng.choice([10.0, 20.0]))
+        )
+    return Topology(nodes, rng.choice(ids), walls)
+
+
+def table_floors():
+    for n in range(2, 16):
+        s = load_scenario("tandem12", [f"topology.count={n}"])
+        yield pytest.param(s.topology, s.channel, id=f"tandem12_n{n}")
+    s = load_scenario("motion_testbed")
+    assert s.topology.walls, "motion_testbed lost its walls"
+    yield pytest.param(s.topology, s.channel, id="motion_testbed")
+    dense = (grid_topology(10, 10, 18.0, 18.0), ChannelParams(tx_range_m=6.0))
+    yield pytest.param(*dense, id="dense_grid")
+    rng = random.Random(0x5EA1)
+    for k in range(40):
+        params = ChannelParams(tx_range_m=rng.choice([6.0, 12.0, 30.0]))
+        yield pytest.param(sparse_floor(rng), params, id=f"sparse{k}")
+
+
+@pytest.mark.parametrize("t, params", table_floors())
+def test_link_table_equals_the_reference_table(t, params):
+    table, hearers, beacon_hearers, verdict = reference_table(t, params)
+    link = LinkCache(t, params)
+    rng = random.Random(0)
+    ids = sorted(t.nodes)
+    assert link.hearers == hearers
+    assert link.beacon_hearers == beacon_hearers
+    for tx in ids:
+        for rx in ids:
+            assert link.rssi_of(tx, rx) == table[tx][rx] == link.rssi_of(rx, tx)
+            others = [o for o in ids if o not in (tx, rx)]
+            # the other senders in ascending id, as the simulator passes them
+            concurrent = tuple(sorted(rng.sample(others, min(len(others), rng.randrange(4)))))
+            assert link.delivery(tx, rx, concurrent) == verdict(tx, rx, concurrent, True)
+            assert link.beacon(tx, rx, concurrent) == verdict(tx, rx, concurrent, False)
+
+
+def test_link_table_memory_per_ordered_pair():
+    # one row dict per station holds the pair's int (one shared object per
+    # dBm level): at 225 keys CPython 3.11 sizes a dict at 512 index slots of
+    # 2 B and 341 entries of 24 B, 9.2 kB or 41 B per key. The hearer tuples
+    # add at most 8 B per pair each, and on this floor every station hears
+    # every beacon but only its ~28 nearest data frames: 41 + 8 + 1 + headers
+    # stays below 64. A second dict row of float powers costs 41 + 24 more.
+    t = grid_topology(15, 15, 28.0, 28.0)  # 2 m spacing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        link = LinkCache(t, ChannelParams(tx_range_m=6.0))
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(link.hearers) == 225
+    assert size / 225**2 < 64, f"{size / 225**2:.1f} B per ordered pair"
+
+
+def test_verdicts_nest_no_wrapped_link_query(monkeypatch):
+    # a profiler wraps every public LinkCache name; a verdict that calls one
+    # would be counted and timed twice
+    delivery, beacon = LinkCache.delivery, LinkCache.beacon
+    entered = []
+    for name in ("rssi_of", "can_hear", "beacon_audible", "delivery", "beacon"):
+        inner = getattr(LinkCache, name)
+
+        def wrapper(*args, _name=name, _inner=inner, **kwargs):
+            entered.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(LinkCache, name, wrapper)
+    link = LinkCache(topo([(0.0, 0.0), (5.0, 0.0), (10.0, 0.0), (40.0, 0.0)]), DEFAULTS)
+    verdicts = [
+        verdict(link, tx, rx, concurrent)
+        for verdict in (delivery, beacon)
+        for tx, rx, concurrent in ((0, 1, ()), (0, 1, (2,)), (1, 3, (0, 2)), (2, 2, ()))
+    ]
+    assert True in verdicts and False in verdicts
+    assert entered == []
