@@ -390,7 +390,7 @@ def test_link_table_memory_per_ordered_pair():
     # one row dict per station holds the pair's int (one shared object per
     # dBm level): at 225 keys CPython 3.11 sizes a dict at 512 index slots of
     # 2 B and 341 entries of 24 B, 9.2 kB or 41 B per key. The hearer tuples
-    # add at most 8 B per pair each, and on this floor every station hears
+    # add at most 8 B per pair each, and on this floor a station hears almost
     # every beacon but only its ~28 nearest data frames: 41 + 8 + 1 + headers
     # stays below 64. A second dict row of float powers costs 41 + 24 more.
     t = grid_topology(15, 15, 28.0, 28.0)  # 2 m spacing
