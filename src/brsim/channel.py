@@ -82,10 +82,19 @@ class Topology:
         if self.destination not in self.nodes:
             raise ValueError(f"destination {self.destination} not among nodes")
         # no pairwise distance may overflow: none exceeds the bounding box's diagonal
-        xs = [p.x for p in self.nodes.values()]
-        ys = [p.y for p in self.nodes.values()]
-        if math.isinf(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
-            raise ValueError("node positions too far apart: their distances overflow a float")
+        # d; with walls the box takes in their ends, and each `_orient` of the
+        # crossing test, a difference of two products, stays within 2·d²
+        points = [*self.nodes.values(), *(end for w in self.walls for end in (w.a, w.b))]
+        xs = [p.x for p in points]
+        ys = [p.y for p in points]
+        d = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        if not self.walls:
+            if math.isinf(d):
+                raise ValueError("node positions too far apart: their distances overflow a float")
+        elif math.isinf(2 * d * d):
+            raise ValueError(
+                "stations and wall ends too far apart: the wall-crossing test overflows a float"
+            )
 
     def position(self, node_id: int) -> Position:
         return self.nodes[node_id]

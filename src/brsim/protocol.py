@@ -60,7 +60,6 @@ class PacketMeta:
 
     uid: int
     source: int
-    dest: int
     hop_count: int = 0
     attempts: int = 0
 
@@ -157,7 +156,7 @@ class RadioNode:
         if next_hop > self.params.hard_hop_cap:
             self.sim.drop(uid, "hop_cap")
             return
-        self.enqueue(PacketMeta(uid, frame.source_node_id, frame.dest_node_id, next_hop))
+        self.enqueue(PacketMeta(uid, frame.source_node_id, next_hop))
 
     def enqueue(self, meta: PacketMeta) -> None:
         self._seen.add(meta.uid)
@@ -197,7 +196,7 @@ class RadioNode:
         """The response window closed: send the packet to the chosen receiver."""
         meta = self.queue[0]
         target = self.current_target = self.select_next_hop(meta, self.responses)
-        routing = Routing(meta.source, meta.dest, self.id, target, meta.hop_count)
+        routing = Routing(meta.source, self.destination, self.id, target, meta.hop_count)
         self.send(routing, target, meta.uid)
 
     def _on_air(self, frame: Frame, target: int | None, uid: int | None, at: int) -> None:

@@ -40,7 +40,8 @@ import functools
 import inspect
 import math
 import os
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import yaml
@@ -298,7 +299,11 @@ def build_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     if "topology" not in raw:
         raise ValidationError("topology: required")
     topology = _build_topology(raw["topology"])
-    topology.walls.extend(_build_walls(raw.get("walls")))
+    walls = _build_walls(raw.get("walls"))
+    try:
+        topology = replace(topology, walls=walls)
+    except ValueError as exc:
+        raise ValidationError(f"walls: {exc}") from exc
     # a missing or null parameter section means all defaults; anything else
     # must be a mapping
     params = {
@@ -367,14 +372,14 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
     return getattr(exc, "problem", None) or str(exc).partition("\n")[0]
 
 
-def _line_and_column(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of a character offset into `text`.
+# the line breaks YAML counts; str.splitlines would also break at \v, \f and \x1c-\x1e
+_YAML_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
-    Only characters YAML accepts precede a ReaderError's offset, and among
-    those str.splitlines breaks lines exactly where YAML does.
-    """
-    lines = (text[:offset] + "x").splitlines()
-    return len(lines), len(lines[-1])
+
+def _line_and_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset into `text`, as YAML counts them."""
+    lines = _YAML_BREAK.split(text[:offset])
+    return len(lines), len(lines[-1]) + 1
 
 
 def parse_document(text: str, origin: str = "<string>") -> dict:
@@ -429,18 +434,26 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
 def load_raw(path: str) -> tuple[dict, str]:
     """Read a scenario document from a file path or a bundled name."""
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return parse_document(fh.read(), path), os.path.splitext(
-                os.path.basename(path)
-            )[0]
-    base = resources.files("brsim").joinpath("scenarios")
-    candidate = base.joinpath(f"{path}.yaml")
-    if candidate.is_file():
-        return parse_document(candidate.read_text(encoding="utf-8"), path), path
-    raise ScenarioError(
-        f"{path}: no such file and no bundled scenario with that name "
-        f"(bundled: {', '.join(list_bundled())})"
-    )
+        with open(path, "rb") as fh:
+            data = fh.read()
+        name = os.path.splitext(os.path.basename(path))[0]
+    else:
+        candidate = resources.files("brsim").joinpath("scenarios").joinpath(f"{path}.yaml")
+        if not candidate.is_file():
+            raise ScenarioError(
+                f"{path}: no such file and no bundled scenario with that name "
+                f"(bundled: {', '.join(list_bundled())})"
+            )
+        data, name = candidate.read_bytes(), path
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        prefix = data[: exc.start].decode("utf-8")
+        where = "line {}, column {}".format(*_line_and_column(prefix, len(prefix)))
+        raise ParseError(
+            f"{path}: {where}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from exc
+    return parse_document(text, path), name
 
 
 def list_bundled() -> list[str]:

@@ -156,9 +156,7 @@ class Simulation:
         self.metrics.outcomes[uid] = Outcome(
             uid, src, False, None, "horizon", self.scenario.horizon_ms
         )
-        self.nodes[src].enqueue(
-            PacketMeta(uid, src, self.topology.destination, hop_count=0)
-        )
+        self.nodes[src].enqueue(PacketMeta(uid, src))
 
     # ---- bookkeeping called by nodes ------------------------------------------
 

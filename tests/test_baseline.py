@@ -41,7 +41,7 @@ def scheduled(sim, tag):
 def test_progress_must_be_strict():
     node = aodv_sim().nodes[0]
     node.dst_rssi = -70
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     assert node.select_next_hop(meta, [rr(1, -70, -30)]) == node.destination
     assert node.select_next_hop(meta, [rr(1, -69, -90)]) == 1
 
@@ -49,7 +49,7 @@ def test_progress_must_be_strict():
 def test_strongest_link_wins_among_progressing():
     node = aodv_sim().nodes[0]
     node.dst_rssi = -70
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     # 3 is closer to the destination but 1 has the better link
     assert node.select_next_hop(meta, [rr(1, -69, -40), rr(3, -50, -80)]) == 1
 
@@ -57,21 +57,21 @@ def test_strongest_link_wins_among_progressing():
 def test_link_tie_breaks_to_lowest_id():
     node = aodv_sim().nodes[0]
     node.dst_rssi = -70
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     assert node.select_next_hop(meta, [rr(4, -60, -50), rr(3, -65, -50)]) == 3
 
 
 def test_no_own_reading_means_any_responder_progresses():
     node = aodv_sim().nodes[0]
     node.dst_rssi = None
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     assert node.select_next_hop(meta, [rr(1, -120, -90)]) == 1
 
 
 def test_no_responses_means_direct_shot():
     node = aodv_sim().nodes[0]
     node.dst_rssi = -70
-    assert node.select_next_hop(PacketMeta(1, 0, 2), []) == node.destination
+    assert node.select_next_hop(PacketMeta(1, 0), []) == node.destination
 
 
 # ---- CSMA clear-channel procedure ----------------------------------------------
@@ -201,7 +201,7 @@ def test_next_frame_starts_after_an_abandoned_one():
 def test_committed_routing_arms_ack_wait_from_the_tx_tick():
     sim = aodv_sim()
     node = sim.nodes[1]
-    node.enqueue(PacketMeta(5, 1, 2))
+    node.enqueue(PacketMeta(5, 1))
     node._csma_queue.clear()
     node._csma_queue.append((Routing(1, 2, 1, 2, 0), 2, 5))
     node.current_target = 2  # as selecting the receiver would
@@ -260,7 +260,7 @@ def test_destination_answers_without_a_reading():
 def test_enqueue_starts_handshake_when_idle():
     sim = aodv_sim()
     node = sim.nodes[0]
-    node.enqueue(PacketMeta(3, 0, 2))
+    node.enqueue(PacketMeta(3, 0))
     assert node.in_hop
     [(frame, _, uid)] = node._csma_queue
     assert frame.type is MessageType.SRC_BCAST and uid == 3

@@ -246,16 +246,19 @@ def test_run_scenario_file_with_a_duplicated_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "document, problem",
     [
-        ("horizon_s: 120\nbr: [1\n", "line 3, column 1: expected ',' or ']', but got '<stream end>'"),
-        ("horizon_s: [1, 2\ntraffic: {}\n", "line 2, column 8: expected ',' or ']', but got ':'"),
-        ("? [1, 2]\n: 3\n", "line 1, column 3: found unhashable key"),
+        (b"horizon_s: 120\nbr: [1\n", "line 3, column 1: expected ',' or ']', but got '<stream end>'"),
+        (b"horizon_s: [1, 2\ntraffic: {}\n", "line 2, column 8: expected ',' or ']', but got ':'"),
+        (b"? [1, 2]\n: 3\n", "line 1, column 3: found unhashable key"),
+        (b"name: x\n\xff\xfe: 1\n", "line 2, column 1: byte 0xff is not UTF-8 (invalid start byte)"),
+        # a form feed is no line break to YAML, though str.splitlines takes it for one
+        (b"a: 1\x0c\nb: \xc3(\n", "line 2, column 4: byte 0xc3 is not UTF-8 (invalid continuation byte)"),
     ],
 )
 def test_a_bad_scenario_file_exits_2_with_one_line_naming_the_file(
     tmp_path, capsys, document, problem
 ):
     doc = tmp_path / "bad.yaml"
-    doc.write_text(document)
+    doc.write_bytes(document)
     code = run_cli("run", "--scenario", str(doc), "--out", str(tmp_path))
     assert code == 2
     assert capsys.readouterr().err == f"error: {doc}: {problem}\n"

@@ -133,7 +133,7 @@ def _responses_collected(listeners: int, slots: int, seed: int) -> int:
     engine = sim.engine
     engine.run_until(100, sim._handle)  # every station holds a beacon reading
     holder = sim.nodes[0]
-    holder.queue.append(PacketMeta(0, 0, 1))
+    holder.queue.append(PacketMeta(0, 0))
     holder._start_handshake()
     # the window closes at 100 + W; the last Response lands well before that
     engine.run_until(100 + sim.br_params.response_wait_ms - 1, sim._handle)

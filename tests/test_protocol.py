@@ -50,28 +50,28 @@ def scheduled(sim, tag=None):
 def test_select_highest_dst_rssi_wins():
     node = br_sim().nodes[0]
     node.dst_rssi = None
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     assert node.select_next_hop(meta, [rr(1, -70), rr(3, -60)]) == 3
 
 
 def test_select_tie_breaks_to_lowest_id():
     node = br_sim().nodes[0]
     node.dst_rssi = None
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     assert node.select_next_hop(meta, [rr(5, -60), rr(3, -60), rr(4, -60)]) == 3
 
 
 def test_select_ignores_link_strength():
     node = br_sim().nodes[0]
     node.dst_rssi = None
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     # stronger link must not beat better destination proximity
     assert node.select_next_hop(meta, [rr(1, -60, -30), rr(3, -59, -95)]) == 3
 
 
 def test_select_shoots_when_own_reading_at_least_best():
     node = br_sim().nodes[0]
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     node.dst_rssi = -60
     assert node.select_next_hop(meta, [rr(1, -60), rr(3, -65)]) == node.destination
     node.dst_rssi = -59
@@ -83,13 +83,13 @@ def test_select_shoots_when_own_reading_at_least_best():
 def test_select_shoots_with_no_responses():
     node = br_sim().nodes[0]
     node.dst_rssi = -70
-    assert node.select_next_hop(PacketMeta(1, 0, 2), []) == node.destination
+    assert node.select_next_hop(PacketMeta(1, 0), []) == node.destination
 
 
 def test_select_winner_invariant_under_rssi_offset():
     node = br_sim().nodes[0]
     node.dst_rssi = None
-    meta = PacketMeta(1, 0, 2)
+    meta = PacketMeta(1, 0)
     base = [rr(1, -72), rr(3, -64), rr(4, -64), rr(6, -80)]
     for off in (-13, 0, 13):
         shifted = [rr(r.responder, r.dst_rssi + off) for r in base]
@@ -102,21 +102,21 @@ def test_select_winner_invariant_under_rssi_offset():
 def test_loop_filter_inactive_at_threshold():
     node = br_sim().nodes[0]
     node.prior_forwarders[9].add(3)
-    meta = PacketMeta(9, 0, 2, hop_count=10)  # == loop_threshold
+    meta = PacketMeta(9, 0, hop_count=10)  # == loop_threshold
     assert node.loop_filter(meta, {1, 3, 4}) == {1, 3, 4}
 
 
 def test_loop_filter_excludes_prior_forwarders_past_threshold():
     node = br_sim().nodes[0]
     node.prior_forwarders[9].update({3, 4})
-    meta = PacketMeta(9, 0, 2, hop_count=11)
+    meta = PacketMeta(9, 0, hop_count=11)
     assert node.loop_filter(meta, {1, 3, 4}) == {1}
 
 
 def test_loop_filter_is_per_packet():
     node = br_sim().nodes[0]
     node.prior_forwarders[9].add(3)
-    other = PacketMeta(8, 0, 2, hop_count=11)
+    other = PacketMeta(8, 0, hop_count=11)
     assert node.loop_filter(other, {3}) == {3}
 
 
@@ -124,7 +124,7 @@ def test_all_candidates_filtered_means_shoot():
     node = br_sim().nodes[0]
     node.dst_rssi = None
     node.prior_forwarders[9].update({1, 3})
-    meta = PacketMeta(9, 0, 2, hop_count=11)
+    meta = PacketMeta(9, 0, hop_count=11)
     assert node.select_next_hop(meta, [rr(1, -50), rr(3, -40)]) == node.destination
 
 
@@ -138,7 +138,7 @@ def test_routing_accept_acks_and_enqueues():
     relay.on_routing(Routing(0, 2, 0, 1, 0), tx=0, uid=77)
     assert len(relay.queue) == 1
     meta = relay.queue[0]
-    assert (meta.uid, meta.source, meta.dest, meta.hop_count) == (77, 0, 2, 1)
+    assert (meta.uid, meta.source, meta.hop_count) == (77, 0, 1)
     assert relay.prior_forwarders[77] == {0}
     # the Ack arrival at node 0, and the relay's first epoch: it now holds a packet
     assert sim.engine.pending() == before + 2
@@ -243,7 +243,7 @@ def test_the_destination_beacon_is_one_object_per_run():
 
 
 def queue_packet(node, uid=1):
-    node.enqueue(PacketMeta(uid, node.id, node.destination))
+    node.enqueue(PacketMeta(uid, node.id))
     return node.queue[0]
 
 
@@ -496,7 +496,7 @@ def test_hop_waits_run_from_the_on_air_tick(protocol):
     sim = make_sim(LINE3, 2, protocol, channel=SHORT_RANGE, sources=(0,), start_ms=10**9)
     sim.channel_busy = lambda me: False  # every CCA finds the channel clear
     node = sim.nodes[0]
-    node.enqueue(PacketMeta(7, 0, 2))  # the baseline starts its handshake here
+    node.enqueue(PacketMeta(7, 0))  # the baseline starts its handshake here
     if protocol == "br":
         node._start_handshake()  # BR would wait for a transmit epoch
     rts_at = run_to_on_air(sim, node)

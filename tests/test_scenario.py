@@ -318,6 +318,13 @@ def test_sources_all_excludes_destination():
             ),
             "topology: node positions too far apart",
         ),
+        (
+            # 2·d² over this wall's bounding box overflows; at 1e100 it is finite
+            lambda r: r.update(
+                walls=[{"x1": 7 - 1e155, "y1": -1e155, "x2": 7 + 1e155, "y2": 1e155}]
+            ),
+            "walls: stations and wall ends too far apart",
+        ),
     ],
 )
 def test_validation_errors(mutate, message):
