@@ -132,12 +132,6 @@ class BrNode(RadioNode):
 
     # ---- next hop -------------------------------------------------------------
 
-    def loop_filter(self, meta: PacketMeta, candidates: set[int]) -> set[int]:
-        """Drop already-visited forwarders once the packet is long-travelled."""
-        if meta.hop_count <= self.params.loop_threshold:
-            return set(candidates)
-        return set(candidates) - self.prior_forwarders[meta.uid]
-
     def select_next_hop(
         self, meta: PacketMeta, responses: list[ResponseRecord]
     ) -> int:
@@ -146,13 +140,15 @@ class BrNode(RadioNode):
         Highest reported destination RSSI wins, ties going to the lowest
         station id. If the sender's own reading is at least as good as the
         best offer, or no admissible responder exists, the packet is shot
-        directly at the destination.
+        directly at the destination. Past loop_threshold hops, the stations
+        that already forwarded this packet are not admissible.
         """
-        allowed = self.loop_filter(meta, {r.responder for r in responses})
-        candidates = [r for r in responses if r.responder in allowed]
-        if not candidates:
+        if meta.hop_count > self.params.loop_threshold:
+            visited = self.prior_forwarders[meta.uid]
+            responses = [r for r in responses if r.responder not in visited]
+        if not responses:
             return self.destination
-        best = max(candidates, key=lambda r: (r.dst_rssi, -r.responder))
+        best = max(responses, key=lambda r: (r.dst_rssi, -r.responder))
         if self.dst_rssi is not None and self.dst_rssi >= best.dst_rssi:
             return self.destination
         return best.responder

@@ -192,11 +192,12 @@ class LinkCache:
     set, `_rssi[a][b] is _rssi[b][a]` in whole dBm, the diagonal included
     (the destination's reading of its own beacon). Rows share one int per
     dBm level, and `_level_mw` holds each level's linear power once.
-    `hearers` and `beacon_hearers` list, in ascending rx id, the receivers
-    that decode each transmitter's data frames and, on a quiet channel, its
-    beacons. The simulator looks up every link and adjudicates every frame
-    arrival here. Boundary ties (RSSI equal to sensitivity, SIR equal to
-    target) count as success.
+    `hearers` lists, in ascending rx id, the receivers that decode each
+    transmitter's data frames. Only the destination beacons, so
+    `beacon_hearers` is one tuple: the stations that decode its beacon on a
+    quiet channel, in ascending id. The simulator looks up every link and
+    adjudicates every frame arrival here. Boundary ties (RSSI equal to
+    sensitivity, SIR equal to target) count as success.
     """
 
     def __init__(self, topology: Topology, params: ChannelParams) -> None:
@@ -213,14 +214,15 @@ class LinkCache:
                 level = rssi(at, pos[b], topology, params)
                 row[b] = rows[b][a] = levels.setdefault(level, level)
         self._rssi = rows
-        self._level_mw = {level: _linear_mw(level) for level in levels}
-        noise, target = self._noise_mw, self._sir_lin
-        audible = {level: mw / noise >= target for level, mw in self._level_mw.items()}
-        self.hearers: dict[int, tuple[int, ...]] = {}
-        self.beacon_hearers: dict[int, tuple[int, ...]] = {}
-        for tx, row in rows.items():
-            self.hearers[tx] = tuple(rx for rx, v in row.items() if rx != tx and v >= self.sensitivity)
-            self.beacon_hearers[tx] = tuple(rx for rx, v in row.items() if rx != tx and audible[v])
+        self._level_mw = mw = {level: _linear_mw(level) for level in levels}
+        self.hearers: dict[int, tuple[int, ...]] = {
+            tx: tuple(rx for rx, v in row.items() if rx != tx and v >= self.sensitivity)
+            for tx, row in rows.items()
+        }
+        dst, noise, target = topology.destination, self._noise_mw, self._sir_lin
+        self.beacon_hearers: tuple[int, ...] = tuple(
+            rx for rx, v in rows[dst].items() if rx != dst and mw[v] / noise >= target
+        )
 
     def rssi_of(self, tx: int, rx: int) -> int:
         return self._rssi[tx][rx]

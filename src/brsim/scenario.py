@@ -367,6 +367,17 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+# YAML 1.1 reads a number in exponent form as a string unless it also has a
+# dot and a signed exponent (`6.0e+0`); YAML 1.2's core schema reads `6e0`,
+# `1e-3` and `.5e1` as floats. Tried after the YAML 1.1 int rule, so `5`
+# stays an int.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def _yaml_problem(exc: yaml.YAMLError) -> str:
     """The problem alone, without PyYAML's marks and snippets; one line."""
     return getattr(exc, "problem", None) or str(exc).partition("\n")[0]

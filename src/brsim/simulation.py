@@ -101,9 +101,9 @@ class Simulation:
 
     # ---- radio ------------------------------------------------------------
 
-    def transmit(self, tx: int, frame: Frame) -> None:
-        """Broadcast at once (the destination beacon); nodes use `_on_air`."""
-        self.transmit_at(self.engine.now, tx, frame)
+    def transmit(self) -> None:
+        """Put the destination's beacon on the air at once; nodes use `_on_air`."""
+        self.transmit_at(self.engine.now, self.topology.destination, self._beacon_frame)
 
     def transmit_at(
         self,
@@ -113,7 +113,24 @@ class Simulation:
         only_to: int | None = None,
         uid: int | None = None,
     ) -> None:
-        """Book `tx`'s air time at tick `at` and schedule the frame's arrival."""
+        """Book `tx`'s air time at tick `at` and schedule the frame's arrival.
+
+        Only the destination beacons: a `DstBcast` from any other station
+        raises ValueError.
+        """
+        if only_to is not None:
+            rxs = (only_to,) if self.link.can_hear(tx, only_to) else ()
+        elif frame.type is not _DST_BCAST:
+            rxs = self.link.hearers[tx]
+        elif tx != self.topology.destination:
+            raise ValueError(f"station {tx} is not the destination: only the destination beacons")
+        elif self._stop_when_idle:
+            # the channel is static, so a station that holds a reading would
+            # only be told the same rssi_of(tx, rx) again
+            nodes = self.nodes
+            rxs = tuple(rx for rx in self.link.beacon_hearers if nodes[rx].dst_rssi is None)
+        else:
+            rxs = self.link.beacon_hearers
         booked = self._tx
         reg = booked.get(at)
         if reg is None:
@@ -123,17 +140,6 @@ class Simulation:
                 del booked[t]
             reg = booked[at] = set()
         reg.add(tx)
-        if only_to is not None:
-            rxs = (only_to,) if self.link.can_hear(tx, only_to) else ()
-        elif frame.type is not _DST_BCAST:
-            rxs = self.link.hearers[tx]
-        elif self._stop_when_idle:
-            # the channel is static, so a station that holds a reading would
-            # only be told the same rssi_of(tx, rx) again
-            nodes = self.nodes
-            rxs = tuple(rx for rx in self.link.beacon_hearers[tx] if nodes[rx].dst_rssi is None)
-        else:
-            rxs = self.link.beacon_hearers[tx]
         if rxs:
             self.engine.schedule(at + 1, FrameArrival(rxs, frame, tx, uid))
 
@@ -265,7 +271,7 @@ def _on_epoch(sim: Simulation, ev: DecisionEpoch) -> None:
 
 
 def _on_beacon(sim: Simulation, ev: BeaconTick) -> None:
-    sim.transmit(ev.node, sim._beacon_frame)
+    sim.transmit()
     sim.engine.schedule(sim.engine.now + sim.br_params.bcast_ms, ev)  # the same event again
 
 

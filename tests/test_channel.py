@@ -207,7 +207,7 @@ def test_beacon_reaches_past_data_range():
     assert link.beacon(0, 1, ())
     assert not link.delivery(0, 1, ())
     assert link.hearers[0] == ()
-    assert link.beacon_hearers[0] == (1,)
+    assert link.beacon_hearers == (1,)  # the destination is 0
 
 
 def test_delivery_survives_weak_interferer():
@@ -289,13 +289,15 @@ def test_hearer_lists_are_the_audible_receivers_in_id_order():
     rng = random.Random(0x4EA2)
     for _ in range(25):
         t = random_world(rng)
-        cache = LinkCache(t, ChannelParams(tx_range_m=rng.choice([6.0, 12.0, 30.0])))
+        params = ChannelParams(tx_range_m=rng.choice([6.0, 12.0, 30.0]))
+        cache = LinkCache(t, params)
         ids = sorted(t.nodes)
         for tx in ids:
             assert list(cache.hearers[tx]) == [rx for rx in ids if cache.can_hear(tx, rx)]
-            assert list(cache.beacon_hearers[tx]) == [
-                rx for rx in ids if cache.beacon_audible(tx, rx)
-            ]
+        # the one beacon tuple is the destination's, whichever station that is
+        for dst in ids:
+            cache = LinkCache(Topology(t.nodes, dst, t.walls), params)
+            assert list(cache.beacon_hearers) == [rx for rx in ids if cache.beacon_audible(dst, rx)]
 
 
 def test_link_cache_beacon_audible_is_quiet_channel_beacon():
@@ -308,6 +310,8 @@ def test_link_cache_beacon_audible_is_quiet_channel_beacon():
 def reference_table(t, params):
     """The link table built the direct way, as (rssi, hearers, beacon_hearers, verdict).
 
+    `beacon_hearers` is the destination's alone: the only beacon source.
+
     Every ordered pair gets its own `rssi()` and the linear power of that
     value; the hearer lists and the verdicts are read off those two tables.
     """
@@ -318,9 +322,8 @@ def reference_table(t, params):
     target = 10.0 ** (params.target_sir_db / 10.0)
     sens = sensitivity_dbm(params)
     hearers = {tx: tuple(rx for rx in ids if rx != tx and table[tx][rx] >= sens) for tx in ids}
-    beacon_hearers = {
-        tx: tuple(rx for rx in ids if rx != tx and mw[tx][rx] / noise >= target) for tx in ids
-    }
+    dst = t.destination
+    beacon_hearers = tuple(rx for rx in ids if rx != dst and mw[dst][rx] / noise >= target)
 
     def verdict(tx, rx, concurrent, gated):
         if tx == rx or (gated and table[tx][rx] < sens):
@@ -389,10 +392,11 @@ def test_link_table_equals_the_reference_table(t, params):
 def test_link_table_memory_per_ordered_pair():
     # one row dict per station holds the pair's int (one shared object per
     # dBm level): at 225 keys CPython 3.11 sizes a dict at 512 index slots of
-    # 2 B and 341 entries of 24 B, 9.2 kB or 41 B per key. The hearer tuples
-    # add at most 8 B per pair each, and on this floor a station hears almost
-    # every beacon but only its ~28 nearest data frames: 41 + 8 + 1 + headers
-    # stays below 64. A second dict row of float powers costs 41 + 24 more.
+    # 2 B and 341 entries of 24 B, 9.2 kB or 41 B per key. On this floor a
+    # station hears only its ~28 nearest data frames, 8 B each in its hearer
+    # tuple, and the destination's one beacon tuple holds 8 B per station:
+    # 41 + 1 + headers stays below 48 (42.8 measured). A beacon tuple for
+    # every station costs 8 B more, a second dict row of float powers 41 + 24.
     t = grid_topology(15, 15, 28.0, 28.0)  # 2 m spacing
     tracemalloc.start()
     try:
@@ -402,7 +406,7 @@ def test_link_table_memory_per_ordered_pair():
     finally:
         tracemalloc.stop()
     assert len(link.hearers) == 225
-    assert size / 225**2 < 64, f"{size / 225**2:.1f} B per ordered pair"
+    assert size / 225**2 < 48, f"{size / 225**2:.1f} B per ordered pair"
 
 
 def test_verdicts_nest_no_wrapped_link_query(monkeypatch):

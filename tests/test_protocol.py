@@ -101,23 +101,30 @@ def test_select_winner_invariant_under_rssi_offset():
 
 def test_loop_filter_inactive_at_threshold():
     node = br_sim().nodes[0]
+    node.dst_rssi = None
     node.prior_forwarders[9].add(3)
     meta = PacketMeta(9, 0, hop_count=10)  # == loop_threshold
-    assert node.loop_filter(meta, {1, 3, 4}) == {1, 3, 4}
+    for responder in (1, 3, 4):  # each one admissible, the prior forwarder too
+        assert node.select_next_hop(meta, [rr(responder, -60)]) == responder
+    assert node.select_next_hop(meta, [rr(1, -70), rr(3, -40), rr(4, -60)]) == 3
 
 
 def test_loop_filter_excludes_prior_forwarders_past_threshold():
     node = br_sim().nodes[0]
+    node.dst_rssi = None
     node.prior_forwarders[9].update({3, 4})
     meta = PacketMeta(9, 0, hop_count=11)
-    assert node.loop_filter(meta, {1, 3, 4}) == {1}
+    for responder, chosen in ((1, 1), (3, node.destination), (4, node.destination)):
+        assert node.select_next_hop(meta, [rr(responder, -60)]) == chosen
+    assert node.select_next_hop(meta, [rr(1, -70), rr(3, -40), rr(4, -60)]) == 1
 
 
 def test_loop_filter_is_per_packet():
     node = br_sim().nodes[0]
+    node.dst_rssi = None
     node.prior_forwarders[9].add(3)
     other = PacketMeta(8, 0, hop_count=11)
-    assert node.loop_filter(other, {3}) == {3}
+    assert node.select_next_hop(other, [rr(3, -60)]) == 3
 
 
 def test_all_candidates_filtered_means_shoot():

@@ -441,6 +441,12 @@ def test_overrides_set_nested_and_typed_values():
             "br.relay_probability=0.5",
             "traffic.packets_per_source=3",
             "protocol=aodv",
+            # exponent forms YAML 1.1 would read as strings
+            "channel.path_loss_exponent=6e0",
+            "channel.target_sir_db=6.0e0",
+            "channel.tx_power_dbm=1e-3",
+            "channel.ref_distance_m=.5e1",
+            "traffic.inter_arrival_ms=2e3",
         ],
     )
     sc = build_scenario(out)
@@ -448,6 +454,9 @@ def test_overrides_set_nested_and_typed_values():
     assert sc.br.relay_probability == pytest.approx(0.5)
     assert sc.traffic.packets_per_source == 3
     assert sc.protocol == "aodv"
+    assert (sc.channel.path_loss_exponent, sc.channel.target_sir_db) == (6.0, 6.0)
+    assert (sc.channel.tx_power_dbm, sc.channel.ref_distance_m) == (0.001, 5.0)
+    assert sc.traffic.inter_arrival_ms == 2000
     # the input document is never mutated
     assert "channel" not in raw and "br" not in raw
 
@@ -504,6 +513,22 @@ def test_load_raw_from_file(tmp_path):
     sc = build_scenario(raw, default_name=name)
     assert sc.name == "mine"
     assert len(sc.topology.nodes) == 3
+
+
+def test_a_scenario_file_reads_exponent_forms_as_numbers(tmp_path):
+    p = tmp_path / "exp.yaml"
+    p.write_text(
+        "horizon_s: 1e3\n"
+        "topology: {generator: tandem, count: 3}\n"
+        "channel: {tx_range_m: 6e0, noise_floor_dbm: -9.5E1}\n"
+        "traffic: {sources: [0]}\n"
+    )
+    sc = load_scenario(str(p))
+    assert sc.horizon_ms == 1_000_000
+    assert (sc.channel.tx_range_m, sc.channel.noise_floor_dbm) == (6.0, -95.0)
+    # a name in exponent form is a number now, and names are strings
+    with pytest.raises(ValidationError, match="name: expected a non-empty string"):
+        build_scenario(parse_document("name: 1e5\n" + p.read_text()))
 
 
 def test_load_scenario_with_overrides():

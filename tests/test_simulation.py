@@ -47,62 +47,83 @@ def test_unknown_protocol_rejected():
 # ---- reception adjudication ---------------------------------------------------
 
 
+def record_frames(sim):
+    """Every frame each station decodes, as (rx, tx, measured rssi), in arrival order."""
+    heard = []
+    for rx, node in sim.nodes.items():
+        node.on_frame = lambda frame, tx, uid, measured, rx=rx: heard.append((rx, tx, measured))
+    return heard
+
+
+def rts(sim, tx, at=None):
+    """Put `tx`'s RTS on the air at tick `at` (default now)."""
+    sim.transmit_at(sim.engine.now if at is None else at, tx, SrcBcast(tx))
+
+
 def test_clean_transmission_is_received():
     sim = cross_sim()
-    sim.transmit(0, DstBcast(0))
+    heard = record_frames(sim)
+    rts(sim, 0)
     sim.engine.run_until(1, sim._handle)
-    assert sim.nodes[3].dst_rssi == -61  # 5 m on the default channel
+    assert (3, 0, -61) in heard  # 5 m on the default channel
 
 
 def test_half_duplex_blocks_simultaneous_talkers():
     sim = cross_sim()
-    sim.transmit(0, DstBcast(0))
-    sim.transmit(3, DstBcast(3))
+    heard = record_frames(sim)
+    rts(sim, 0)
+    rts(sim, 3)
     sim.engine.run_until(1, sim._handle)
     # each was transmitting during the other's tick: neither hears anything
-    assert sim.nodes[0].dst_rssi is None
-    assert sim.nodes[3].dst_rssi is None
+    assert [h for h in heard if h[0] in (0, 3)] == []
 
     # with the SIR gate off, one burst holds talkers that hear nothing (3, and
-    # the destination, whose own beacon goes out at tick 0) and 1, which decodes
+    # 0 in the other) and 1, which decodes; so does the destination's beacon,
+    # which goes out at tick 0
     sim = cross_sim(channel=ChannelParams(target_sir_db=NO_INTERFERENCE))
-    sim.transmit(0, DstBcast(0))
-    sim.transmit(3, DstBcast(3))
-    assert [(ev.tx, ev.rxs) for ev in _arrivals(sim)] == [(0, (1, 2, 3)), (3, (0, 1, 2))]
-    seen = []
-    sim.nodes[1].on_dst_beacon = seen.append
+    heard = record_frames(sim)
+    rts(sim, 0)
+    rts(sim, 3)
+    assert [(ev.tx, ev.rxs) for ev in _arrivals(sim)] == [(0, (1, 3)), (3, (0, 1))]
     sim.engine.run_until(1, sim._handle)
-    assert seen == [-70, -61, -160]  # from 0, 3 and the destination
-    assert sim.nodes[0].dst_rssi is None
-    assert sim.nodes[3].dst_rssi is None
+    assert heard == [(1, 0, -70), (1, 3, -61), (1, 2, -160)]  # from 0, 3 and the destination
 
 
 def test_same_tick_equal_power_collision_destroys_both():
     sim = cross_sim()
-    sim.transmit(0, DstBcast(0))
-    sim.transmit(1, DstBcast(1))
+    heard = record_frames(sim)
+    rts(sim, 0)
+    rts(sim, 1)
     sim.engine.run_until(1, sim._handle)
-    assert sim.nodes[3].dst_rssi is None  # SIR about 0 dB from each side
+    assert [h for h in heard if h[0] == 3] == []  # SIR about 0 dB from each side
 
 
 def test_collision_recovered_when_sir_gate_disabled():
-    # disabling the SIR gate also lets the distant destination's beacon in,
-    # so record every reading instead of just the last one
+    # disabling the SIR gate also lets the distant destination's beacon in
     sim = cross_sim(channel=ChannelParams(target_sir_db=-1000.0))
-    seen = []
-    sim.nodes[3].on_dst_beacon = seen.append
-    sim.transmit(0, DstBcast(0))
-    sim.transmit(1, DstBcast(1))
+    heard = record_frames(sim)
+    rts(sim, 0)
+    rts(sim, 1)
     sim.engine.run_until(1, sim._handle)
-    assert seen.count(-61) == 2  # both same-tick frames decoded
+    # both same-tick frames decoded
+    assert [h for h in heard if h[0] == 3 and h[1] != 2] == [(3, 0, -61), (3, 1, -61)]
 
 
 def test_consecutive_ticks_do_not_interfere():
     sim = cross_sim()
-    sim.transmit(0, DstBcast(0))
-    sim.transmit_at(1, 1, DstBcast(1))
+    heard = record_frames(sim)
+    rts(sim, 0)
+    rts(sim, 1, at=1)
     sim.engine.run_until(2, sim._handle)
-    assert sim.nodes[3].dst_rssi == -61  # both got through, one per tick
+    # both got through, one per tick
+    assert [h for h in heard if h[0] == 3] == [(3, 0, -61), (3, 1, -61)]
+
+
+def test_only_the_destination_beacons():
+    sim = cross_sim()
+    with pytest.raises(ValueError, match="only the destination beacons"):
+        sim.transmit_at(sim.engine.now, 0, DstBcast(0))
+    assert not sim._tx  # and no air time was booked
 
 
 # ---- arrival fan-out -----------------------------------------------------------
@@ -118,7 +139,7 @@ def test_beacons_fan_out_by_sir_reach():
     positions = {0: (0.0, 0.0), 1: (10.0 ** 1.5, 0.0), 2: (31.62 + 40.0, 0.0)}
     sim = make_sim(positions, 0, "br", sources=(1,), start_ms=10**9)
     before = sim.engine.pending()
-    sim.transmit(0, DstBcast(0))
+    sim.transmit()
     assert sim.engine.pending() == before + 1
     [burst] = _arrivals(sim)
     assert burst.rxs == (1,)  # node 1 only, node 2 is too far
@@ -149,25 +170,22 @@ def test_addressed_frames_gated_by_hearing_range():
 def test_a_broadcast_is_one_arrival_for_all_its_hearers():
     sim = cross_sim()
     before = sim.engine.pending()
-    sim.transmit(3, SrcBcast(3))
+    rts(sim, 3)
     assert sim.engine.pending() == before + 1
     [burst] = _arrivals(sim)
     assert burst.rxs == sim.link.hearers[3] == (0, 1)
-    heard = []
-    for rx in burst.rxs:
-        sim.nodes[rx].on_frame = lambda frame, tx, uid, measured, rx=rx: heard.append(
-            (rx, tx, measured)
-        )
+    heard = record_frames(sim)
     sim.engine.run_until(1, sim._handle)
     assert heard == [(0, 3, -61), (1, 3, -61)]  # each adjudicated, in id order
 
 
 def test_broadcast_skips_sender_itself():
     sim = cross_sim()
-    sim.transmit(3, DstBcast(3))
+    heard = record_frames(sim)
+    rts(sim, 3)
     sim.engine.run_until(1, sim._handle)
-    assert sim.nodes[3].dst_rssi is None
-    assert sim.nodes[0].dst_rssi == -61
+    assert [h for h in heard if h[0] == 3] == []
+    assert (0, 3, -61) in heard
 
 
 # ---- clear-channel assessment ----------------------------------------------------
