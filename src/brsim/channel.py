@@ -2,13 +2,13 @@
 
 Propagation is deterministic: no fading, no capture model beyond the SIR
 threshold. RSSI values are rounded to whole dBm (half toward +inf) and are
-symmetric for any node pair. Reception of data frames is gated twice: the
-receiver must be within hearing range (sensitivity calibrated so the
-wall-free reach equals the configured transmission range) and the SIR against
-noise plus all concurrent transmitters must meet the target. Location beacons
-skip the hearing-range gate and are decodable wherever the SIR alone passes,
-which is what lets downstream nodes build a destination-RSSI gradient over
-floors longer than the data range.
+symmetric for any node pair. Range is applied once, when a frame goes on
+the air: data frames reach the stations within hearing range (sensitivity
+calibrated so the wall-free reach equals the configured transmission range),
+and the destination's beacon every station whose SIR against noise alone
+meets the target, so stations build a destination-RSSI gradient over floors
+longer than the data range. SIR against noise plus all concurrent
+transmitters is applied once, at arrival.
 """
 
 from __future__ import annotations
@@ -67,6 +67,11 @@ class ChannelParams:
             raise ValueError(
                 "tx_power_dbm too high: the linear power of a link at the reference"
                 " distance overflows a float"
+            )
+        # sensitivity_dbm rounds this to the whole dBm that every range gate compares with
+        if not math.isfinite(self.tx_power_dbm - path_loss(self.tx_range_m, self)):
+            raise ValueError(
+                "tx_range_m too far for this path loss: its sensitivity is not a finite dBm value"
             )
 
 
@@ -195,9 +200,10 @@ class LinkCache:
     `hearers` lists, in ascending rx id, the receivers that decode each
     transmitter's data frames. Only the destination beacons, so
     `beacon_hearers` is one tuple: the stations that decode its beacon on a
-    quiet channel, in ascending id. The simulator looks up every link and
-    adjudicates every frame arrival here. Boundary ties (RSSI equal to
-    sensitivity, SIR equal to target) count as success.
+    quiet channel, in ascending id. The simulator picks a frame's receivers
+    from these by range when it goes on the air, and `delivery` judges each
+    arrival by SIR alone. Boundary ties (RSSI equal to sensitivity, SIR
+    equal to target) count as success.
     """
 
     def __init__(self, topology: Topology, params: ChannelParams) -> None:
@@ -235,26 +241,19 @@ class LinkCache:
         """Beacon reach on a quiet channel: SIR against the noise floor alone."""
         return tx != rx and self._level_mw[self._rssi[tx][rx]] / self._noise_mw >= self._sir_lin
 
-    def _sir_ok(self, tx: int, row: dict[int, int], concurrent: tuple[int, ...]) -> bool:
-        """SIR at target or better against noise plus every concurrent sender.
+    def delivery(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
+        """The verdict on one arrival: SIR at target or better at rx.
 
-        `row` is the receiver's row (by symmetry, every sender's RSSI at it).
-        Powers are summed in the order of `concurrent`, which fixes the sum.
+        Interference is the noise plus each sender in `concurrent` (the
+        tick's other senders, ascending id), summed in that order. Range was
+        applied when rx was picked as a receiver.
         """
+        row = self._rssi[rx]  # by symmetry, every sender's RSSI at rx
         mw = self._level_mw
         interference = self._noise_mw
         for other in concurrent:
             interference += mw[row[other]]
         return mw[row[tx]] / interference >= self._sir_lin
 
-    def delivery(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
-        """Data-frame verdict: in hearing range and SIR at target or better.
-
-        `concurrent` is every other sender of the tick, in ascending id.
-        """
-        row = self._rssi[rx]  # can_hear, inline
-        return tx != rx and row[tx] >= self.sensitivity and self._sir_ok(tx, row, concurrent)
-
-    def beacon(self, tx: int, rx: int, concurrent: tuple[int, ...]) -> bool:
-        """Beacon verdict: SIR alone against `concurrent`, no hearing-range gate."""
-        return tx != rx and self._sir_ok(tx, self._rssi[rx], concurrent)
+    # a beacon arrival takes the same verdict; the name stays for perfbench's tracer
+    beacon = delivery

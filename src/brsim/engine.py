@@ -114,17 +114,6 @@ class RngStream:
             if v < limit:
                 return v % bound
 
-    def bernoulli(self, p: float) -> bool:
-        """True with probability p on a 2**53 grid; exact at p=0 and p=1.
-
-        One draw, the same one as randbelow(2**53) < round(p * 2**53):
-        2**64 is a multiple of 2**53, so that rejection loop never rejects
-        and its result is the low 53 bits of the draw.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability out of range: {p}")
-        return self.next_u64() & _MASK53 < round(p * (1 << 53))
-
 
 @dataclass(slots=True)
 class FrameArrival:
@@ -282,5 +271,8 @@ class Engine:
         return self._streams[node_id].randbelow(bound)
 
     def bernoulli(self, node_id: int, p: float) -> bool:
+        """True with probability p on a 2**53 grid; exact at p=0 and p=1."""
         # no simulator code draws a coin from a stream; perfbench's tracer wraps this name
-        return self._streams[node_id].bernoulli(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability out of range: {p}")
+        return self._streams[node_id].randbelow(1 << 53) < round(p * (1 << 53))

@@ -19,8 +19,9 @@ When a handshake starts is policy too: BR starts one at a transmit epoch
 baseline as soon as it is idle with data (`_on_free`).
 
 Frames are immutable values, so a node builds each one it repeats once: its
-RTS and its Ack at construction, and one Response per RTS owner, built again
-only when the node's destination reading has changed since.
+RTS and its Ack at construction, and one Response per RTS owner the first
+time it answers that owner. The channel is static, so a station's
+destination reading never changes once it holds one.
 
 A node owns exactly one handshake at a time, for the head of its FIFO queue.
 A running hop waits on one timer, the one `_arm` set last: the response
@@ -96,7 +97,7 @@ class RadioNode:
         self._seen: set[int] = set()  # uids ever held here, for duplicate rejection
         self._rts = SrcBcast(node_id)
         self._ack = Ack(node_id)
-        self._response_to: dict[int, Response] = {}  # the last Response sent to each RTS owner
+        self._response_to: dict[int, Response] = {}  # the Response sent to each RTS owner
 
     # ---- timer plumbing -------------------------------------------------
 
@@ -107,21 +108,19 @@ class RadioNode:
     # ---- frame entry point ----------------------------------------------
 
     def on_frame(self, frame: Frame, tx: int, uid: int | None, measured: int) -> None:
+        """Take a frame this station decoded; `measured` is its RSSI here."""
         t = frame.type  # the most frequent types first
         if t is _RESPONSE:
-            self._collect_response(frame, measured)
+            # each handshake starts a fresh list, so a late answer reaches no selection
+            self.responses.append(ResponseRecord(frame.response_node_id, frame.dst_rssi, measured))
         elif t is _SRC_BCAST:
             self.on_rts(tx)
         elif t is _DST_BCAST:
-            self.on_dst_beacon(measured)
+            self.dst_rssi = measured  # the destination reading; every beacon reads the same
         elif t is _ROUTING:
             self.on_routing(frame, tx, uid)
         else:
             self._on_ack(frame)
-
-    def on_dst_beacon(self, measured: int) -> None:
-        """Store the beacon reading; the latest measurement wins."""
-        self.dst_rssi = measured
 
     def on_rts(self, tx: int) -> None:
         """Answer if this station may serve as a relay right now.
@@ -132,10 +131,6 @@ class RadioNode:
         """
         if self.is_destination or (self.listening and self.dst_rssi is not None):
             self._schedule_response(tx)
-
-    def _collect_response(self, frame: Response, measured: int) -> None:
-        # each handshake starts a fresh list, so a late answer reaches no selection
-        self.responses.append(ResponseRecord(frame.response_node_id, frame.dst_rssi, measured))
 
     def on_routing(self, frame: Routing, tx: int, uid: int | None) -> None:
         """Ack an addressed data frame, then deliver or requeue it.
@@ -227,11 +222,10 @@ class RadioNode:
         )
 
     def _emit_response(self, owner: int) -> None:
-        dst_rssi = self.dst_rssi
-        assert dst_rssi is not None
         frame = self._response_to.get(owner)
-        if frame is None or frame.dst_rssi != dst_rssi:
-            frame = self._response_to[owner] = Response(owner, self.id, dst_rssi)
+        if frame is None:
+            assert self.dst_rssi is not None
+            frame = self._response_to[owner] = Response(owner, self.id, self.dst_rssi)
         self.send(frame, owner)
 
     # ---- retransmission -------------------------------------------------

@@ -2,18 +2,18 @@
 
 Time is integer milliseconds and a transmission occupies exactly one tick.
 Every frame sent at tick t arrives at tick t+1; all frames sent in the same
-tick are mutually concurrent. Reception is adjudicated at arrival: a radio
-that was itself transmitting at t hears nothing (half duplex), everything
-else is decided by the channel model against the concurrent-transmitter set.
+tick are mutually concurrent.
 
-A frame on the air is one arrival event carrying its receivers, adjudicated
-at each against one concurrent set: the stations that could hear it on a
-quiet channel (interference can only remove receptions, never add them), in
-ascending id from the link table's hearer lists, or its addressee if that one
-can hear it. An untraced run also leaves out beacon receivers that already
-hold a destination reading; see Simulation.run. The other senders of the
-frame's tick are sorted into ascending id once per arrival, not once per
-receiver, and every verdict sums their interference in that order.
+Range is applied once, when a frame goes on the air: its receivers are the
+stations that could decode it on a quiet channel (interference can only
+remove receptions, never add them), in ascending id from the link table: a
+data frame's hearers, its addressee if that one hears it, or the
+destination beacon's reach. An untraced run also leaves out beacon
+receivers that already hold a destination reading; see Simulation.run. At
+arrival, one event per frame, a receiver that was transmitting at t hears
+nothing (half duplex) and every other one is judged by SIR alone against
+the tick's other senders, sorted into ascending id once per arrival; every
+verdict sums their interference in that order.
 
 The nodes keep their own timing (a BrNode schedules its decision epochs)
 and log the data frames they put on the air (RadioNode._on_air); the
@@ -243,19 +243,20 @@ class Simulation:
 def _on_arrival(sim: Simulation, ev: FrameArrival) -> None:
     """Adjudicate a frame at its receivers in ascending id, back to back.
 
-    One that sent in the frame's tick hears nothing (half duplex). No burst
-    of two or more stops the run: only an Ack ends a hop (`_end_hop` ->
-    `packet_dequeued` -> `Engine.stop`), Acks, Responses and Routing frames
-    are addressed, and `on_rts` and `on_dst_beacon` never dequeue. What a
-    handler schedules sorts after every event already scheduled.
+    One that sent in the frame's tick hears nothing (half duplex); every
+    other one decodes it if its SIR passes. No burst of two or more stops
+    the run: only an Ack ends a hop (`_end_hop` -> `packet_dequeued` ->
+    `Engine.stop`), Acks, Responses and Routing frames are addressed, and
+    neither an RTS nor a beacon dequeues. What a handler schedules sorts
+    after every event already scheduled.
     """
     frame, tx, link = ev.frame, ev.tx, sim.link
     sent = sim._tx[sim.engine.now - 1]  # the frame's tick, never pruned yet
     # the other senders in ascending id, the order every verdict sums them in
     concurrent = tuple(sorted(sent - {tx})) if len(sent) > 1 else ()
-    verdict = link.beacon if frame.type is _DST_BCAST else link.delivery
+    delivery = link.delivery
     for rx in ev.rxs:
-        if rx not in sent and verdict(tx, rx, concurrent):
+        if rx not in sent and delivery(tx, rx, concurrent):
             sim.nodes[rx].on_frame(frame, tx, ev.uid, link.rssi_of(tx, rx))
 
 

@@ -205,7 +205,6 @@ def test_beacon_reaches_past_data_range():
     link = LinkCache(topo([(0.0, 0.0), (d, 0.0)]), DEFAULTS)
     assert not link.can_hear(0, 1)
     assert link.beacon(0, 1, ())
-    assert not link.delivery(0, 1, ())
     assert link.hearers[0] == ()
     assert link.beacon_hearers == (1,)  # the destination is 0
 
@@ -246,10 +245,11 @@ def random_world(rng):
 
 
 def oracle(t, params, tx, rx, concurrent):
-    """Reference link model straight from the geometry: (rssi, hear, delivery, beacon).
+    """Reference link model straight from the geometry: (rssi, hear, sir_ok).
 
-    Power sums run over the interferers in ascending id, the order the
-    simulator adds them in.
+    `hear` is the range gate a sender applies when it picks receivers;
+    `sir_ok` is the verdict at arrival. Power sums run over the interferers
+    in ascending id, the order the simulator adds them in.
     """
 
     def power_mw(a):
@@ -261,7 +261,7 @@ def oracle(t, params, tx, rx, concurrent):
     for other in sorted(concurrent):
         interference += power_mw(other)
     sir_ok = power_mw(tx) / interference >= 10.0 ** (params.target_sir_db / 10.0)
-    return r, hear, hear and sir_ok, tx != rx and sir_ok
+    return r, hear, sir_ok
 
 
 def test_link_cache_matches_module_functions():
@@ -277,12 +277,13 @@ def test_link_cache_matches_module_functions():
                 others = [o for o in ids if o not in (tx, rx)]
                 # the other senders in ascending id, as the simulator passes them
                 concurrent = tuple(sorted(o for o in others if rng.random() < 0.5))
-                r, hear, delivery, beacon = oracle(t, params, tx, rx, concurrent)
+                r, hear, sir_ok = oracle(t, params, tx, rx, concurrent)
                 assert cache.rssi_of(tx, rx) == r
                 assert cache.can_hear(tx, rx) == hear
-                assert cache.beacon_audible(tx, rx) == oracle(t, params, tx, rx, ())[3]
-                assert cache.delivery(tx, rx, concurrent) == delivery
-                assert cache.beacon(tx, rx, concurrent) == beacon
+                quiet = oracle(t, params, tx, rx, ())[2]
+                assert cache.beacon_audible(tx, rx) == (tx != rx and quiet)
+                assert cache.delivery(tx, rx, concurrent) == sir_ok
+                assert cache.beacon(tx, rx, concurrent) == sir_ok
 
 
 def test_hearer_lists_are_the_audible_receivers_in_id_order():
@@ -313,7 +314,8 @@ def reference_table(t, params):
     `beacon_hearers` is the destination's alone: the only beacon source.
 
     Every ordered pair gets its own `rssi()` and the linear power of that
-    value; the hearer lists and the verdicts are read off those two tables.
+    value; the hearer lists and the verdict are read off those two tables.
+    The hearer lists apply range, the verdict SIR alone.
     """
     ids = sorted(t.nodes)
     table = {tx: {rx: rssi(t.position(tx), t.position(rx), t, params) for rx in ids} for tx in ids}
@@ -325,9 +327,7 @@ def reference_table(t, params):
     dst = t.destination
     beacon_hearers = tuple(rx for rx in ids if rx != dst and mw[dst][rx] / noise >= target)
 
-    def verdict(tx, rx, concurrent, gated):
-        if tx == rx or (gated and table[tx][rx] < sens):
-            return False
+    def verdict(tx, rx, concurrent):
         interference = noise
         for other in concurrent:
             interference += mw[other][rx]
@@ -385,8 +385,8 @@ def test_link_table_equals_the_reference_table(t, params):
             others = [o for o in ids if o not in (tx, rx)]
             # the other senders in ascending id, as the simulator passes them
             concurrent = tuple(sorted(rng.sample(others, min(len(others), rng.randrange(4)))))
-            assert link.delivery(tx, rx, concurrent) == verdict(tx, rx, concurrent, True)
-            assert link.beacon(tx, rx, concurrent) == verdict(tx, rx, concurrent, False)
+            assert link.delivery(tx, rx, concurrent) == verdict(tx, rx, concurrent)
+            assert link.beacon(tx, rx, concurrent) == verdict(tx, rx, concurrent)
 
 
 def test_link_table_memory_per_ordered_pair():

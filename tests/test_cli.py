@@ -156,6 +156,11 @@ def test_run_bad_override_exits_2(tmp_path, capsys):
         ("br.epoch_ms=100000000000000000000000", "br: epoch_ms must be at most 2**64"),
         ("channel.tx_power_dbm=33000", "channel: tx_power_dbm too high"),
         ("channel.path_loss_exponent=-400", "channel: path_loss_exponent must be non-negative"),
+        (
+            # tx_range_m / ref_distance_m overflows, so the sensitivity would be -inf dBm
+            "channel={tx_range_m: 1e308, ref_distance_m: 0.5}",
+            "channel: tx_range_m too far for this path loss",
+        ),
         ("name=a/b", "name: 'a/b' cannot be part of a file name"),
         ('name="a\\0b"', "name: 'a\\x00b' cannot be part of a file name"),
         (".x=1", "override '.x=1': key segment 1 of '.x' is empty"),

@@ -5,8 +5,8 @@ wrappers, so renaming or deleting one breaks the benchmark. Installing the
 tracer fails with AttributeError on a missing name, and a renamed hook
 point leaves its counter at zero. The tracer files events by class, so a
 renamed or split arrival class would leave the arrival counts at zero too.
-The exact counts of two fixed runs are pinned, so a skipped or extra call
-of a wrapped name fails as well.
+The exact counts of two fixed runs are pinned, traced and untraced, so a
+skipped or extra call of a wrapped name fails as well.
 """
 
 import pathlib
@@ -54,7 +54,25 @@ TANDEM5_SEED0 = {
 }
 
 
-def test_tracer_wraps_counts_and_restores(monkeypatch, tmp_path):
+# The same two runs untraced, as the end-to-end benchmark runs them: each
+# stops at quiescence and leaves out beacon arrivals at stations that already
+# hold a destination reading, so fewer events, arrivals and beacons.
+TANDEM5_SEED0_UNTRACED = {
+    **TANDEM5_SEED0,
+    "engine.events": 3021,
+    "engine.events.arrive": 802,
+    "engine.events.timer": 1358,
+    "engine.events.epoch": 602,
+    "engine.events.beacon": 259,
+    "channel.sir_checks": 949,
+    "channel.arrivals_scheduled": 802,
+    "channel.arrivals_accepted": 927,
+    "simulation.transmissions.dst_bcast": 259,
+}
+
+
+def tandem5_counts(monkeypatch, trace_dir):
+    """Tracer.exact() of the tandem5 pair; traced runs write to `trace_dir`."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
 
@@ -64,11 +82,19 @@ def test_tracer_wraps_counts_and_restores(monkeypatch, tmp_path):
         tracer.install()
         scenario = load_scenario("tandem12", ["topology.count=5"])
         for protocol in ("br", "aodv"):
-            # a traced run: the tracer reads its RunMetrics.trace
-            simulation.run_scenario(scenario, protocol, 0, trace_path=str(tmp_path / protocol))
+            trace_path = None if trace_dir is None else str(trace_dir / protocol)
+            simulation.run_scenario(scenario, protocol, 0, trace_path=trace_path)
     finally:
         tracer.uninstall()
+    assert Engine.run_until is run_until
+    return tracer.exact()
+
+
+def test_tracer_wraps_counts_and_restores(monkeypatch, tmp_path):
     # every count of these two runs, so that a hot-path edit that skips or
     # adds a wrapped call fails here instead of moving perfbench's counts
-    assert tracer.exact() == TANDEM5_SEED0
-    assert Engine.run_until is run_until
+    assert tandem5_counts(monkeypatch, tmp_path) == TANDEM5_SEED0
+
+
+def test_tracer_counts_of_untraced_runs(monkeypatch):
+    assert tandem5_counts(monkeypatch, None) == TANDEM5_SEED0_UNTRACED

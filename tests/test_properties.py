@@ -8,7 +8,9 @@ otherwise the first drop stand. Each wait, too, keeps exactly the timers it
 needs in flight. And an untraced run, which skips events that change
 nothing, must give the results of the traced run of the same scenario and
 seed, on floors whose timing forces same-tick ties; an untraced `aodv` run
-must also keep the traced run's event order.
+must also keep the traced run's event order. And a frame goes on the air
+only to receivers picked by range, never to its sender, so that an arrival
+is judged by half duplex and SIR alone.
 """
 
 import io
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from brsim.baseline import CsmaParams
 from brsim.br_node import BrParams
 from brsim.channel import ChannelParams
-from brsim.engine import TRACE_LINES, TimerFire
+from brsim.engine import TRACE_LINES, FrameArrival, TimerFire
+from brsim.frame import MessageType
 from brsim.simulation import Simulation
 
 from conftest import NO_INTERFERENCE, make_scenario, make_sim
@@ -33,7 +36,8 @@ aside = st.integers(0, 150).map(lambda dm: dm / 10.0)
 
 
 @st.composite
-def runs(draw):
+def runs(draw, traced=st.just(False)):
+    trace = io.StringIO() if draw(traced) else None
     n = draw(st.integers(3, 8))
     # stations 1..n-1 form a jittered chain along a narrow floor, so routes
     # take several hops; the destination may sit off to the side, out of
@@ -64,6 +68,7 @@ def runs(draw):
         packets_per_source=draw(st.integers(1, 2)),
         inter_arrival_ms=30_000,
         horizon_ms=150_000,
+        trace=trace,
     )
     return sim
 
@@ -85,10 +90,25 @@ def record_resolutions(sim):
     return delivered, dropped
 
 
+def record_arrivals(sim):
+    """Log every FrameArrival the run schedules, in schedule order."""
+    arrivals = []
+    schedule = sim.engine.schedule
+
+    def logged_schedule(time, event):
+        if isinstance(event, FrameArrival):
+            arrivals.append(event)
+        schedule(time, event)
+
+    sim.engine.schedule = logged_schedule
+    return arrivals
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(runs())
+@given(runs(traced=st.booleans()))
 def test_run_invariants(sim):
     delivered, dropped = record_resolutions(sim)
+    arrivals = record_arrivals(sim)
     metrics = sim.run()
     cap = sim.br_params.hard_hop_cap
     assert metrics.generated == sim.scenario.traffic.packets_per_source * len(
@@ -130,6 +150,15 @@ def test_run_invariants(sim):
                 and hop.time_ms <= rec.time_ms
             }
             assert rec.receiver not in priors
+
+    # receivers are picked by range when a frame goes on the air, never the sender
+    link = sim.link
+    for ev in arrivals:
+        assert ev.tx not in ev.rxs
+        if ev.frame.type is MessageType.DST_BCAST:
+            assert set(ev.rxs) <= set(link.beacon_hearers)
+        else:
+            assert all(link.can_hear(ev.tx, rx) for rx in ev.rxs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

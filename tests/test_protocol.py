@@ -216,7 +216,7 @@ def test_a_node_sends_one_rts_and_one_ack_object():
     assert ack == Ack(1) and ack_again is ack
 
 
-def test_a_response_to_one_owner_is_reused_until_the_reading_changes():
+def test_a_response_to_one_owner_is_built_once_per_owner():
     sim = br_sim()
     frames = on_air(sim)
     relay = sim.nodes[1]
@@ -226,15 +226,10 @@ def test_a_response_to_one_owner_is_reused_until_the_reading_changes():
     relay._emit_response(2)  # another owner gets its own frame
     relay.on_frame(DstBcast(2), tx=2, uid=None, measured=-61)  # the same reading again
     relay._emit_response(0)
-    relay.on_frame(DstBcast(2), tx=2, uid=None, measured=-64)
-    relay._emit_response(0)
-    first, again, other, same_reading, new_reading = frames
+    first, again, other, same_reading = frames
     assert first == Response(0, 1, -61)
     assert again is first and same_reading is first
     assert other == Response(2, 1, -61)
-    assert new_reading == Response(0, 1, -64)
-    relay._emit_response(0)
-    assert frames[-1] is new_reading
 
 
 def test_the_destination_beacon_is_one_object_per_run():

@@ -261,6 +261,11 @@ def test_sources_all_excludes_destination():
         (lambda r: r.update(csma=""), "csma: expected a mapping"),
         (lambda r: r.update(channel={"tx_range_m": 10**400}), "tx_range_m: must be finite"),
         (
+            # tx_range_m / ref_distance_m overflows, so the sensitivity is -inf dBm
+            lambda r: r.update(channel={"tx_range_m": 1e308, "ref_distance_m": 0.5}),
+            "channel: tx_range_m too far for this path loss",
+        ),
+        (
             lambda r: r.update(topology={"generator": "tandem", "count": 4, "rows": 2}),
             "topology.rows: unknown field",
         ),

@@ -693,7 +693,7 @@ EPOCH_TIES = {
 
 
 @pytest.mark.parametrize("name", sorted(EPOCH_TIES))
-def test_untraced_runs_with_parked_epochs_behave_as_traced_runs(name):
+def test_untraced_runs_with_epoch_ties_behave_as_traced_runs(name):
     scenario = EPOCH_TIES[name]()
     for seed in range(12):
         quick, full = _untraced_and_traced(scenario, "br", seed)
