@@ -44,8 +44,6 @@ import re
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
-import yaml
-
 from .baseline import CsmaParams
 from .br_node import BrParams
 from .channel import ChannelParams, Position, Topology, WallSegment, rssi
@@ -339,46 +337,55 @@ def _check_readings(topology: Topology, channel: ChannelParams) -> None:
 # ---- document and override handling ----------------------------------------
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """A SafeLoader that rejects a key written twice in one mapping.
+@functools.cache
+def _yaml():
+    """PyYAML and the strict loader, both made on the first parse.
 
-    Plain PyYAML keeps the last value of a repeated key without a word. A
-    key merged in with `<<` may still be overridden by one written out.
+    A scenario built from a mapping never parses, so it never pays for
+    importing PyYAML.
     """
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        # a node that is no mapping (`!!set foo`) is the base class's to reject
-        pairs = node.value if isinstance(node, yaml.MappingNode) else []
-        lines: dict = {}  # the line of each key written out in this mapping
-        for key_node, _ in pairs:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue
-            key = self.construct_object(key_node, deep=True)
-            line = key_node.start_mark.line + 1
-            try:
-                first = lines.get(key)
-            except TypeError:
-                continue  # an unhashable key, which the base class reports
-            if first is not None:
-                raise yaml.constructor.ConstructorError(
-                    problem=f"duplicate key {key!r} on line {line} (first on line {first})"
-                )
-            lines[key] = line
-        return super().construct_mapping(node, deep=deep)
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """A SafeLoader that rejects a key written twice in one mapping.
+
+        Plain PyYAML keeps the last value of a repeated key without a word. A
+        key merged in with `<<` may still be overridden by one written out.
+        """
+
+        def construct_mapping(self, node, deep=False):
+            # a node that is no mapping (`!!set foo`) is the base class's to reject
+            pairs = node.value if isinstance(node, yaml.MappingNode) else []
+            lines: dict = {}  # the line of each key written out in this mapping
+            for key_node, _ in pairs:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=True)
+                line = key_node.start_mark.line + 1
+                try:
+                    first = lines.get(key)
+                except TypeError:
+                    continue  # an unhashable key, which the base class reports
+                if first is not None:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"duplicate key {key!r} on line {line} (first on line {first})"
+                    )
+                lines[key] = line
+            return super().construct_mapping(node, deep=deep)
+
+    # YAML 1.1 reads a number in exponent form as a string unless it also has
+    # a dot and a signed exponent (`6.0e+0`); YAML 1.2's core schema reads
+    # `6e0`, `1e-3` and `.5e1` as floats. Tried after the YAML 1.1 int rule,
+    # so `5` stays an int.
+    UniqueKeyLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"),
+    )
+    return yaml, UniqueKeyLoader
 
 
-# YAML 1.1 reads a number in exponent form as a string unless it also has a
-# dot and a signed exponent (`6.0e+0`); YAML 1.2's core schema reads `6e0`,
-# `1e-3` and `.5e1` as floats. Tried after the YAML 1.1 int rule, so `5`
-# stays an int.
-_UniqueKeyLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+.0123456789"),
-)
-
-
-def _yaml_problem(exc: yaml.YAMLError) -> str:
+def _yaml_problem(exc) -> str:
     """The problem alone, without PyYAML's marks and snippets; one line."""
     return getattr(exc, "problem", None) or str(exc).partition("\n")[0]
 
@@ -394,8 +401,9 @@ def _line_and_column(text: str, offset: int) -> tuple[int, int]:
 
 
 def parse_document(text: str, origin: str = "<string>") -> dict:
+    yaml, loader = _yaml()
     try:
-        raw = yaml.load(text, Loader=_UniqueKeyLoader)
+        raw = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -435,16 +443,24 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             if not isinstance(nxt, dict):
                 raise ValidationError(f"override {key}: {part} is not a mapping")
             cursor = nxt
+        if value == "":
+            cursor[path[-1]] = None
+            continue
+        yaml, loader = _yaml()
         try:
-            cursor[path[-1]] = yaml.load(value, Loader=_UniqueKeyLoader) if value != "" else None
+            cursor[path[-1]] = yaml.load(value, Loader=loader)
         except yaml.YAMLError as exc:  # its marks would point within the value
             raise ValidationError(f"override {text!r}: bad value: {_yaml_problem(exc)}") from exc
     return raw
 
 
 def load_raw(path: str) -> tuple[dict, str]:
-    """Read a scenario document from a file path or a bundled name."""
-    if os.path.exists(path):
+    """Read a scenario document from a file, or else the bundled scenario of that name.
+
+    A directory is no file, so one left by `--out NAME` does not hide the
+    bundled scenario NAME; a pipe such as `/dev/stdin` is read.
+    """
+    if os.path.exists(path) and not os.path.isdir(path):
         with open(path, "rb") as fh:
             data = fh.read()
         name = os.path.splitext(os.path.basename(path))[0]

@@ -96,6 +96,24 @@ def test_select_winner_invariant_under_rssi_offset():
         assert node.select_next_hop(meta, shifted) == 3
 
 
+def test_a_station_within_ref_distance_ties_the_destination():
+    # station 1 lies 0.94 m from the destination, inside ref_distance_m, where
+    # path loss clamps: it reads the destination's own reading. The source is
+    # 5 m from the destination and 5.56 m from station 1.
+    floor = {0: (0.0, 0.0), 1: (5.5, 0.8), 2: (5.0, 0.0)}
+    meta = PacketMeta(1, 0)
+    for protocol, next_hop in (("br", 1), ("aodv", 2)):
+        sim = make_sim(floor, 2, protocol, sources=(0,), channel=SHORT_RANGE)
+        link, src, dst = sim.link, sim.nodes[0], sim.nodes[2]
+        assert dst.dst_rssi == link.rssi_of(2, 2) == link.rssi_of(2, 1) == -40
+        src.dst_rssi = link.rssi_of(2, 0)
+        offers = [rr(n, link.rssi_of(2, n), link.rssi_of(n, 0)) for n in (1, 2)]
+        assert offers[0].link_rssi < offers[1].link_rssi
+        # br ranks by reading, so station 1 wins the tie on its lower id; aodv
+        # takes the strongest link among strictly better readings
+        assert src.select_next_hop(meta, offers) == next_hop, protocol
+
+
 # ---- loop filter ---------------------------------------------------------------
 
 

@@ -1,11 +1,16 @@
 """Scenario documents: bundled files, generators, validation, overrides."""
 
+import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import brsim
 from brsim import cli
 from brsim.channel import Position, WallSegment
 from brsim.scenario import (
@@ -518,6 +523,68 @@ def test_load_raw_from_file(tmp_path):
     sc = build_scenario(raw, default_name=name)
     assert sc.name == "mine"
     assert len(sc.topology.nodes) == 3
+
+
+def test_a_directory_does_not_hide_a_bundled_scenario(tmp_path, monkeypatch):
+    # `brsim run --scenario tandem12 --out tandem12` leaves such a directory
+    (tmp_path / "tandem12").mkdir()
+    (tmp_path / "mine").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert load_scenario("tandem12").name == "tandem12"
+    with pytest.raises(ScenarioError, match="mine: no such file and no bundled scenario"):
+        load_raw("mine")
+
+
+_FIRST_PARSE = textwrap.dedent(
+    """
+    import json, sys
+    from brsim import cli, scenario, simulation
+
+    mapping = {
+        "horizon_s": 100,
+        "topology": {"generator": "tandem", "count": 4},
+        "traffic": {"sources": [0]},
+    }
+    built = scenario.build_scenario(mapping)
+    delivered = simulation.run_scenario(built, "br", 0).delivery_ratio()
+    seen = {"delivered": delivered, "yaml_after_run": "yaml" in sys.modules}
+    try:
+        scenario.parse_document("a: b: c\\n", "bad.yaml")
+    except scenario.ParseError as exc:
+        seen["first_parse"] = str(exc)
+    loaded = scenario.load_scenario("tandem12", ["br.relay_probability=0.5"])
+    seen["p"] = loaded.br.relay_probability
+    print(json.dumps(seen))
+    """
+)
+
+
+def _fresh_python(code: str, stdin: str = "") -> str:
+    """Run `code` in a new interpreter that imports this brsim; return its output."""
+    src = os.path.dirname(os.path.dirname(brsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_scenario_is_read_from_a_pipe():
+    text = "horizon_s: 5\ntopology: {generator: tandem, count: 3}\ntraffic: {sources: [0]}\n"
+    code = "from brsim.scenario import load_raw; print(load_raw('/dev/stdin')[0]['horizon_s'])"
+    assert _fresh_python(code, stdin=text) == "5\n"
+
+
+def test_pyyaml_is_imported_by_the_first_parse():
+    # a fresh interpreter: this one imported PyYAML long ago
+    seen = json.loads(_fresh_python(_FIRST_PARSE))
+    assert seen["delivered"] == 1.0
+    assert seen["yaml_after_run"] is False
+    assert seen["first_parse"] == "bad.yaml: line 1, column 5: mapping values are not allowed here"
+    assert seen["p"] == 0.5
 
 
 def test_a_scenario_file_reads_exponent_forms_as_numbers(tmp_path):
